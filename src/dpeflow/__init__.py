@@ -7,7 +7,7 @@ yields approximate dynamic prediction equilibria, with instantaneous
 equilibria as the constant-predictor special case.
 """
 
-from .flow_state import FlowOverTime, OutflowEvent
+from .flow_state import FlowOverTime, SimEvent
 from .network import (
     Commodity,
     Edge,
@@ -45,7 +45,6 @@ from .simulation import (
     MetricsReport,
     RoundRecord,
     RunResult,
-    SimEvent,
     StrandedFlowError,
     audit_dpe,
     audit_ide,
@@ -70,7 +69,6 @@ __all__ = [
     "LinearPredictor",
     "MetricsReport",
     "Network",
-    "OutflowEvent",
     "ParseError",
     "PerfectPredictor",
     "PiecewiseLinearFn",

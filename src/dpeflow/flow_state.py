@@ -27,12 +27,12 @@ _Q_EPS = 1e-12   # queue positivity threshold
 
 
 @dataclass(frozen=True)
-class OutflowEvent:
-    """A change of some edge's outflow composition, or a queue depletion."""
+class SimEvent:
+    """One entry of a run's event log."""
 
     time: float
-    edge: int
-    kind: str                    # "outflow_change" | "queue_depleted"
+    kind: str            # "outflow_change" | "queue_depleted" | "route_change"
+    edge: int | None = None
     commodity: int | None = None
     detail: str = ""
 
@@ -41,10 +41,10 @@ class _EdgeState:
     __slots__ = (
         "edge", "in_times", "in_rates", "assigned_until",
         "out_times", "out_rates", "agg_times", "agg_rates",
-        "q_times", "q_values", "q_slope_last", "exit_cursor", "preload",
+        "q_times", "q_values", "q_slope_last", "exit_cursor",
     )
 
-    def __init__(self, edge, n_commodities: int, preload: float):
+    def __init__(self, edge, n_commodities: int):
         self.edge = edge
         self.in_times = [[0.0] for _ in range(n_commodities)]
         self.in_rates = [[0.0] for _ in range(n_commodities)]
@@ -54,10 +54,9 @@ class _EdgeState:
         self.agg_times = [0.0]
         self.agg_rates = [0.0]
         self.q_times = [0.0]
-        self.q_values = [float(preload)]
+        self.q_values = [0.0]
         self.q_slope_last = None
-        self.exit_cursor = edge.transit_time + preload / edge.capacity
-        self.preload = float(preload)
+        self.exit_cursor = edge.transit_time
 
 
 class FlowOverTime:
@@ -66,28 +65,14 @@ class FlowOverTime:
     ``assign_inflow`` declares a commodity's edge inflow on [a, b); rates left
     unassigned fall back to zero once the assignment window expires.
     ``advance`` extends queues and outflows up to a new built horizon.
-    Initial queues (``initial_queues``) are treated as unattributed preloaded
-    mass: it occupies the queue and the aggregate outflow, but belongs to no
-    commodity.
+    Every queue starts empty.
     """
 
-    def __init__(self, network: Network, n_commodities: int,
-                 initial_queues: dict[int, float] | None = None):
+    def __init__(self, network: Network, n_commodities: int):
         self.network = network
         self.n_commodities = n_commodities
         self.built_until = 0.0
-        initial_queues = initial_queues or {}
-        self._edges = [
-            _EdgeState(e, n_commodities, initial_queues.get(e.id, 0.0))
-            for e in network.edges
-        ]
-        self._pending_events: list[OutflowEvent] = []
-        for es in self._edges:
-            if es.preload > 0.0:
-                # preloaded mass discharges first, at capacity
-                tau, cap = es.edge.transit_time, es.edge.capacity
-                self._agg_append(es, tau, cap)
-                self._agg_append(es, es.exit_cursor, 0.0)
+        self._edges = [_EdgeState(e, n_commodities) for e in network.edges]
 
     # ------------------------------------------------------------ assignment
 
@@ -133,7 +118,7 @@ class FlowOverTime:
 
     # --------------------------------------------------------------- advance
 
-    def advance(self, until: float) -> list[OutflowEvent]:
+    def advance(self, until: float) -> list[SimEvent]:
         """Extend all queues and outflows to the new built horizon.
 
         Returns the outflow-change and queue-depletion events discovered along
@@ -142,10 +127,10 @@ class FlowOverTime:
         """
         if until < self.built_until - _T_EPS:
             raise ValueError(f"cannot advance backwards to {until}")
-        events, self._pending_events = self._pending_events, []
         if until <= self.built_until + _T_EPS:
             self.built_until = max(self.built_until, until)
-            return events
+            return []
+        events = []
         t0, t1 = self.built_until, until
         for es in self._edges:
             self._advance_edge(es, t0, t1, events)
@@ -193,8 +178,8 @@ class FlowOverTime:
                         exit_end = pe + tau + q1 / cap
                         self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
                     if depleted:
-                        events.append(OutflowEvent(
-                            time=pe, edge=es.edge.id, kind="queue_depleted"))
+                        events.append(SimEvent(
+                            time=pe, kind="queue_depleted", edge=es.edge.id))
                     q0 = q1
                     p = pe
                 else:
@@ -220,19 +205,18 @@ class FlowOverTime:
             before = rates[-1]
             self._rc_append(times, rates, start, rate)
             if rate != before:
-                events.append(OutflowEvent(
-                    time=start, edge=es.edge.id, kind="outflow_change",
+                events.append(SimEvent(
+                    time=start, kind="outflow_change", edge=es.edge.id,
                     commodity=i, detail=f"{before:g}->{rate:g}"))
         self._agg_append(es, start, agg_rate, events)
         es.exit_cursor = exit_end
 
-    def _agg_append(self, es, t, rate, events=None):
+    def _agg_append(self, es, t, rate, events):
         before = es.agg_rates[-1]
         self._rc_append(es.agg_times, es.agg_rates, t, rate)
         if rate != before:
-            sink = self._pending_events if events is None else events
-            sink.append(OutflowEvent(
-                time=t, edge=es.edge.id, kind="outflow_change",
+            events.append(SimEvent(
+                time=t, kind="outflow_change", edge=es.edge.id,
                 detail=f"{before:g}->{rate:g}"))
 
     def _q_append(self, es, t, v, slope):
@@ -299,33 +283,6 @@ class FlowOverTime:
             values = values + [values[-1]]
         return PiecewiseLinearFn(tuple(times), tuple(values), 0.0, 0.0)
 
-    def inflow_pieces(self, commodity: int, edge: int):
-        """Constant-rate pieces (t0, t1, rate) covering [0, built_until)."""
-        es = self._edges[edge]
-        ts, rs = es.in_times[commodity], es.in_rates[commodity]
-        out = []
-        for j, rate in enumerate(rs):
-            end = ts[j + 1] if j + 1 < len(ts) else self.built_until
-            end = min(end, self.built_until)
-            if end > ts[j]:
-                out.append((ts[j], end, rate))
-        return out
-
-    def next_outflow_event(self, after: float) -> OutflowEvent | None:
-        """Earliest aggregated outflow rate change strictly after ``after``
-        among all edges, as far as outflows have been built."""
-        best = None
-        for es in self._edges:
-            j = bisect_right(es.agg_times, after + _T_EPS)
-            if j < len(es.agg_times):
-                t = es.agg_times[j]
-                if best is None or t < best.time:
-                    before, now = es.agg_rates[j - 1], es.agg_rates[j]
-                    best = OutflowEvent(time=t, edge=es.edge.id,
-                                        kind="outflow_change",
-                                        detail=f"{before:g}->{now:g}")
-        return best
-
     def next_rate_change(self, after: float) -> float | None:
         """Earliest known outflow breakpoint strictly after ``after`` on any
         edge, aggregate or per commodity.  Commodity shares can shift while
@@ -363,8 +320,7 @@ class FlowOverTime:
                 total_in = sum(F(t) for F in cum_in)
                 shifted = t + e.transit_time
                 total_out = sum(F(shifted) for F in cum_out)
-                drained = min(max(shifted - e.transit_time, 0.0) * e.capacity, es.preload)
-                dev = abs(q - (es.preload + total_in - total_out - drained))
+                dev = abs(q - (total_in - total_out))
                 worst["queue_identity"] = max(worst["queue_identity"], dev / scale)
                 exit_t = t + e.transit_time + q / e.capacity
                 for i in range(self.n_commodities):

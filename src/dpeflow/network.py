@@ -93,17 +93,6 @@ class Network:
                     frontier.append(e.head)
         return seen
 
-    def can_reach(self, sink: NodeId) -> set[NodeId]:
-        seen = {sink}
-        frontier = deque([sink])
-        while frontier:
-            v = frontier.popleft()
-            for e in self.in_edges[v]:
-                if e.tail not in seen:
-                    seen.add(e.tail)
-                    frontier.append(e.tail)
-        return seen
-
     def __repr__(self):
         return f"Network(|V|={len(self.nodes)}, |E|={len(self.edges)})"
 

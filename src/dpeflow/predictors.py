@@ -51,6 +51,12 @@ class QueueHistory:
                 f"queried queue at {t} past prediction time {self.now}")
         return self._state.queue_at(edge_id, max(t, 0.0))
 
+    def left_slope(self, edge_id: int) -> float:
+        """Left derivative of the queue at the prediction time; past the
+        last recorded breakpoint, the slope of the last piece."""
+        q_fn = self._state.queue_fn(edge_id)
+        return q_fn.left_slope(min(self.now, q_fn.times[-1]))
+
     def in_edges(self, node: str):
         return self._state.network.in_edges[node]
 
@@ -163,14 +169,9 @@ class LinearPredictor:
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         now = history.now
         q_now = history.queue(edge_id, now)
-        dq = self._left_slope(history, edge_id, now)
+        dq = history.left_slope(edge_id)
         fn = _extrapolate(now, q_now, dq, self.prediction_horizon)
         return PredictedQueue(edge_id, now, fn)
-
-    @staticmethod
-    def _left_slope(history: QueueHistory, edge_id: int, now: float) -> float:
-        q_fn = history._state.queue_fn(edge_id)
-        return q_fn.left_slope(min(now, q_fn.times[-1]))
 
 
 class RegularizedLinearPredictor:
@@ -284,7 +285,7 @@ def _pl_from_points(pts, slope_after=0.0, slope_before=0.0):
     fn = PiecewiseLinearFn(tuple(times), tuple(values),
                            slope_before_first=slope_before,
                            slope_after_last=slope_after)
-    return prune(fn, 0.0)
+    return prune(fn)
 
 
 # ----------------------------------------------------------------- regression
@@ -311,10 +312,6 @@ class RegressionModel:
     coefficients: dict[int, list[list[float]]]
     scores: dict[int, float] = field(default_factory=dict)
     seed: int = 0
-
-    @property
-    def n_features(self) -> int:
-        return (1 + self.neighborhood_radius) * self.lags
 
     def coefficients_for(self, edge_id: int) -> list[list[float]]:
         if edge_id in self.coefficients:

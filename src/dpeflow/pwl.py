@@ -92,16 +92,14 @@ class RightConstantFn:
             i += 1
         return total
 
-    def cumulative(self, origin: float | None = None) -> "PiecewiseLinearFn":
-        """The running integral from ``origin`` (default: domain start) as a
-        continuous piecewise-linear function."""
-        origin = self.domain_start if origin is None else float(origin)
-        if origin < self.domain_start - EPS:
-            raise DomainError(f"cumulative origin {origin} before domain start")
-        times = [origin]
+    def cumulative(self) -> "PiecewiseLinearFn":
+        """The running integral from the domain start as a continuous
+        piecewise-linear function."""
+        times = [self.domain_start]
         values = [0.0]
-        for t, rate_prev in self._pieces_after(origin):
-            if t > times[-1] + 0.0:
+        # each later breakpoint closes a span at the preceding rate
+        for t, rate_prev in zip(self.times[1:], self.values):
+            if t > times[-1]:
                 values.append(values[-1] + rate_prev * (t - times[-1]))
                 times.append(t)
         return PiecewiseLinearFn(
@@ -109,12 +107,6 @@ class RightConstantFn:
             slope_before_first=0.0,
             slope_after_last=self.values[-1],
         )
-
-    def _pieces_after(self, origin):
-        # yields (next_time, rate_on_preceding_span) for spans after origin
-        i = max(bisect_right(self.times, origin) - 1, 0)
-        for j in range(i + 1, len(self.times)):
-            yield self.times[j], self.values[j - 1]
 
 
 @dataclass(frozen=True)
@@ -189,28 +181,23 @@ class PiecewiseLinearFn:
             total += 0.5 * (self(lo) + self(hi)) * (hi - lo)
         return total
 
-    def is_nondecreasing(self, tol: float = EPS) -> bool:
-        if self.slope_before_first < -tol or self.slope_after_last < -tol:
+    def is_nondecreasing(self) -> bool:
+        if self.slope_before_first < -EPS or self.slope_after_last < -EPS:
             return False
         for (t0, v0), (t1, v1) in zip(zip(self.times, self.values),
                                       zip(self.times[1:], self.values[1:])):
-            if v1 - v0 < -tol * max(1.0, abs(v0), t1 - t0):
+            if v1 - v0 < -EPS * max(1.0, abs(v0), t1 - t0):
                 return False
         return True
 
 
-def identity_fn(anchor: float = 0.0) -> PiecewiseLinearFn:
+def identity_fn() -> PiecewiseLinearFn:
     """The function t -> t."""
-    return PiecewiseLinearFn((anchor,), (anchor,), 1.0, 1.0)
+    return PiecewiseLinearFn((0.0,), (0.0,), 1.0, 1.0)
 
 
-def constant_fn(value: float, anchor: float = 0.0) -> PiecewiseLinearFn:
-    return PiecewiseLinearFn((anchor,), (value,), 0.0, 0.0)
-
-
-def integrate(f: RightConstantFn | PiecewiseLinearFn, a: float, b: float) -> float:
-    """Exact integral of f over [a, b]."""
-    return f.integral(a, b)
+def constant_fn(value: float) -> PiecewiseLinearFn:
+    return PiecewiseLinearFn((0.0,), (value,), 0.0, 0.0)
 
 
 def linear_combination(
@@ -224,27 +211,6 @@ def linear_combination(
     before = sum(c * f.slope_before_first for f, c in zip(fns, coeffs))
     after = sum(c * f.slope_after_last for f, c in zip(fns, coeffs))
     return prune(PiecewiseLinearFn(tuple(grid), values, before, after))
-
-
-def rc_combine(
-    fns: list[RightConstantFn], coeffs: list[float]
-) -> RightConstantFn:
-    """Pointwise sum(c * f) of step functions; domain starts at the latest
-    input domain start."""
-    if not fns or len(fns) != len(coeffs):
-        raise ValueError("need matching non-empty function and coefficient lists")
-    start = max(f.domain_start for f in fns)
-    grid = [t for t in _merged_times([f.times for f in fns]) if t >= start]
-    if not grid or grid[0] > start:
-        grid.insert(0, start)
-    times, values = [], []
-    for t in grid:
-        v = sum(c * f(t) for f, c in zip(fns, coeffs))
-        if values and v == values[-1]:
-            continue
-        times.append(t)
-        values.append(v)
-    return RightConstantFn(tuple(times), tuple(values), domain_start=start)
 
 
 def _merged_times(time_lists) -> list[float]:
@@ -421,71 +387,22 @@ def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
                              f.slope_before_first, f.slope_after_last)
 
 
-def prune(f: PiecewiseLinearFn, tol: float = 0.0) -> PiecewiseLinearFn:
-    """Remove breakpoints while deviating at most ``tol`` in uniform norm.
-
-    With ``tol == 0`` only (numerically) collinear interior breakpoints are
-    removed; first and last breakpoints always survive.
-    """
-    if tol < 0:
-        raise ValueError("prune tolerance must be non-negative")
+def prune(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """Remove (numerically) collinear interior breakpoints; the first and
+    last breakpoints always survive."""
     pts = list(zip(f.times, f.values))
-    if tol > 0 and len(pts) > 2:
-        pts = _greedy_corridor(pts, tol)
-    pts = _drop_collinear(pts)
-    if len(pts) == len(f.times):
-        return f
-    times, values = zip(*pts)
-    return PiecewiseLinearFn(times, values, f.slope_before_first, f.slope_after_last)
-
-
-def _drop_collinear(pts):
-    out = [pts[0]]
+    kept = [pts[0]]
     for i in range(1, len(pts) - 1):
-        t0, v0 = out[-1]
+        t0, v0 = kept[-1]
         t1, v1 = pts[i]
         t2, v2 = pts[i + 1]
         interp = v0 + (v2 - v0) * (t1 - t0) / (t2 - t0)
         if abs(v1 - interp) <= _COLLINEAR_TOL * max(1.0, abs(v1)):
             continue
-        out.append(pts[i])
+        kept.append(pts[i])
     if len(pts) > 1:
-        out.append(pts[-1])
-    return out
-
-
-def _greedy_corridor(pts, tol):
-    """Imai-Iri style greedy simplification keeping a subset of the input
-    vertices; every dropped vertex stays within tol of the kept chord."""
-    keep = [0]
-    a = 0
-    lo, hi = -math.inf, math.inf
-    j = 1
-    last_ok = 1
-    while j < len(pts):
-        ta, va = pts[a]
-        tj, vj = pts[j]
-        s = (vj - va) / (tj - ta)
-        if lo - 1e-15 <= s <= hi + 1e-15:
-            lo = max(lo, (vj - tol - va) / (tj - ta))
-            hi = min(hi, (vj + tol - va) / (tj - ta))
-            last_ok = j
-            j += 1
-        else:
-            keep.append(last_ok)
-            a = last_ok
-            lo, hi = -math.inf, math.inf
-            j = a + 1
-            last_ok = j
-    if keep[-1] != len(pts) - 1:
-        keep.append(len(pts) - 1)
-    return [pts[i] for i in keep]
-
-
-def restrict_from(f: PiecewiseLinearFn, start: float) -> PiecewiseLinearFn:
-    """The same function re-anchored so its first breakpoint is at ``start``;
-    values before start are forgotten (flat extrapolation backwards)."""
-    times = [start] + [t for t in f.times if t > start + EPS]
-    values = [f(start)] + [f(t) for t in f.times if t > start + EPS]
-    after = f.slope_after_last if times[-1] >= f.times[-1] else f.slope_at(times[-1])
-    return PiecewiseLinearFn(tuple(times), tuple(values), 0.0, after)
+        kept.append(pts[-1])
+    if len(kept) == len(pts):
+        return f
+    times, values = zip(*kept)
+    return PiecewiseLinearFn(times, values, f.slope_before_first, f.slope_after_last)

@@ -28,7 +28,8 @@ from .pwl import (
     prune,
 )
 
-# labels closer than this are treated as unchanged during correction
+# labels closer than this, relative to their size, are treated as unchanged
+# during correction
 CHANGE_TOL = 1e-11
 
 
@@ -54,13 +55,12 @@ class LabelSet:
         label = self.labels.get(node)
         return label(t) if label is not None else math.inf
 
-    def active_edges(self, node: str, t: float, tol: float | None = None):
+    def active_edges(self, node: str, t: float):
         """Out-edges whose predicted arrival matches the node label at ``t``."""
         label = self.labels.get(node)
         if label is None:
             return []
-        if tol is None:
-            tol = self.active_tolerance
+        tol = self.active_tolerance
         best = label(t)
         active = []
         for e in self.network.out_edges[node]:
@@ -113,22 +113,23 @@ def _best_label(network, v, labels, exit_fns):
         head = labels.get(e.head)
         if head is None:
             continue
-        candidates.append(prune(compose_monotone(head, exit_fns[e.id]), 0.0))
-    return prune(pointwise_min(candidates), 0.0)
+        candidates.append(prune(compose_monotone(head, exit_fns[e.id])))
+    return prune(pointwise_min(candidates))
 
 
 def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn,
                    tol: float) -> bool:
     # PL functions agreeing on both kink sets and boundary slopes agree
-    # everywhere, so this comparison is exact up to the tolerance.
+    # everywhere, so this comparison is exact up to the tolerance.  Values are
+    # compared relative to max(1, |a(t)|, |b(t)|): extrapolated labels reach
+    # 1e5, where one float step (1.5e-11) already exceeds an absolute 1e-11.
     if abs(a.slope_before_first - b.slope_before_first) > tol:
         return True
     if abs(a.slope_after_last - b.slope_after_last) > tol:
         return True
-    for t in a.times:
-        if abs(a(t) - b(t)) > tol:
-            return True
-    for t in b.times:
-        if abs(a(t) - b(t)) > tol:
+    for t in a.times + b.times:
+        va, vb = a(t), b(t)
+        gap = abs(va - vb)
+        if gap > tol and gap > tol * abs(va) and gap > tol * abs(vb):
             return True
     return False

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .flow_state import FlowOverTime
+from .flow_state import FlowOverTime, SimEvent
 from .network import Commodity, Network, Scenario, block_inflow
 from .predictors import (
     PredictorModeError,
@@ -27,7 +27,7 @@ from .predictors import (
     build_predictor,
     exit_time_fn,
 )
-from .pwl import integrate, linear_combination
+from .pwl import linear_combination
 from .routing import LabelSet, compute_labels
 
 _RATE_EPS = 1e-12
@@ -35,15 +35,6 @@ _RATE_EPS = 1e-12
 
 class StrandedFlowError(Exception):
     """Raised when flow sits at a node with no active edge to leave by."""
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: str
-    edge: int | None = None
-    commodity: int | None = None
-    detail: str = ""
 
 
 @dataclass
@@ -133,11 +124,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                 spec_key = json.dumps(comms[i].predictor_spec, sort_keys=True)
                 exit_fns = exit_cache.get(spec_key)
                 if exit_fns is None:
-                    pred = predictors[i]
-                    exit_fns = {
-                        e.id: exit_time_fn(pred.predict(history, e.id),
-                                           e.transit_time, e.capacity)
-                        for e in net.edges}
+                    exit_fns = _exit_fns(predictors[i], history, net)
                     exit_cache[spec_key] = exit_fns
                 ls = compute_labels(net, comms[i].sink, exit_fns,
                                     scenario.active_tolerance)
@@ -178,9 +165,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                     for eid in active_ids:
                         state.assign_inflow(i, eid, share, t, b)
 
-            for ev in state.advance(b):
-                events.append(SimEvent(ev.time, ev.kind, ev.edge,
-                                       ev.commodity, ev.detail))
+            events.extend(state.advance(b))
             t = b
 
         prev_active.update(record.active_queries)
@@ -188,13 +173,18 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             rounds.append(record)
 
     if state.built_until < horizon - 1e-12:
-        for ev in state.advance(horizon):
-            events.append(SimEvent(ev.time, ev.kind, ev.edge,
-                                   ev.commodity, ev.detail))
+        events.extend(state.advance(horizon))
     events.sort(key=lambda e: (e.time, e.kind, e.edge if e.edge is not None
                                else -1, e.commodity if e.commodity is not None
                                else -1))
     return RunResult(scenario, state, rounds, events)
+
+
+def _exit_fns(predictor, history, net):
+    """Predicted exit-time function of every edge under one predictor."""
+    return {e.id: exit_time_fn(predictor.predict(history, e.id),
+                               e.transit_time, e.capacity)
+            for e in net.edges}
 
 
 def _node_inflows(state, net, commodity, i, t):
@@ -230,7 +220,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         entered = c.inflow.cumulative()
         in_transit = linear_combination([entered] + arrived,
                                         [1.0] + [-1.0] * len(arrived))
-        total = integrate(in_transit, 0.0, horizon)
+        total = in_transit.integral(0.0, horizon)
         mass_in = entered(horizon)
         mass_out = sum(f(horizon) for f in arrived)
         rows.append(CommodityMetrics(
@@ -268,11 +258,8 @@ def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
         for (i, v), live_ids in sorted(record.active_queries.items()):
             ls = by_commodity.get(i)
             if ls is None:
-                exit_fns = {
-                    e.id: exit_time_fn(predictors[i].predict(history, e.id),
-                                       e.transit_time, e.capacity)
-                    for e in net.edges}
-                ls = compute_labels(net, comms[i].sink, exit_fns,
+                ls = compute_labels(net, comms[i].sink,
+                                    _exit_fns(predictors[i], history, net),
                                     scenario.active_tolerance)
                 by_commodity[i] = ls
             replay_ids = tuple(e.id for e in ls.active_edges(v, record.time))

@@ -37,23 +37,19 @@ def grid_reference(inflows, capacity, transit_time, horizon, dt=1e-4):
 # ------------------------------------------------------------ queue dynamics
 
 
-def test_initial_queue_drains_at_capacity():
-    state = FlowOverTime(one_edge_net(capacity=1.0), 1, initial_queues={0: 1.0})
-    state.advance(2.0)
-    assert state.queue_at(0, 0.0) == pytest.approx(1.0)
+def test_depletion_time_with_residual_inflow():
+    # rate 3 into capacity 2 builds a queue of 0.5 by t=0.5; the residual
+    # inflow 1 then drains it at 2 - 1 = 1 per unit of time
+    state = FlowOverTime(one_edge_net(capacity=2.0), 1)
+    state.assign_inflow(0, 0, 3.0, 0.0, 0.5)
+    state.assign_inflow(0, 0, 1.0, 0.5, 2.0)
+    events = state.advance(2.0)
+    depletions = [e for e in events if e.kind == "queue_depleted"]
+    assert len(depletions) == 1
+    assert depletions[0].time == pytest.approx(1.0)  # 0.5 + 0.5/(2-1)
     assert state.queue_at(0, 0.5) == pytest.approx(0.5)
     assert state.queue_at(0, 1.0) == pytest.approx(0.0)
     assert state.queue_at(0, 2.0) == pytest.approx(0.0)  # stays empty
-
-
-def test_depletion_time_with_residual_inflow():
-    state = FlowOverTime(one_edge_net(capacity=2.0), 1, initial_queues={0: 0.5})
-    state.assign_inflow(0, 0, 1.0, 0.0, 1.0)
-    events = state.advance(1.0)
-    depletions = [e for e in events if e.kind == "queue_depleted"]
-    assert len(depletions) == 1
-    assert depletions[0].time == pytest.approx(0.5)  # 0.5/(2-1)
-    assert state.queue_at(0, 0.5) == pytest.approx(0.0)
 
 
 def test_pulse_inflow_queue_and_outflow():
@@ -152,17 +148,6 @@ def test_reassignment_at_same_time_overwrites():
 
 
 # --------------------------------------------------------------------- events
-
-
-def test_next_outflow_event_reports_first_change():
-    state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 0.5, 0.0, 2.0)
-    state.advance(3.0)
-    ev = state.next_outflow_event(0.0)
-    assert ev is not None
-    assert ev.time == pytest.approx(1.0)  # arrival after the transit time
-    later = state.next_outflow_event(1.0)
-    assert later.time == pytest.approx(3.0)  # inflow window closes at 2, +tau
 
 
 def test_events_cover_saturation_and_depletion():

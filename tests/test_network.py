@@ -60,7 +60,6 @@ def test_parallel_edges_allowed():
 def test_reachability():
     net = simple_net()
     assert net.reachable_from("a") == {"a", "b", "c"}
-    assert net.can_reach("c") == {"a", "b", "c"}
     assert net.reachable_from("c") == {"c"}
 
 

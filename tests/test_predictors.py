@@ -72,6 +72,14 @@ def test_history_refuses_future_queries():
     assert h.queue(0, -2.0) == 0.0  # clamped to the initial value
 
 
+def test_history_left_slope():
+    q = pl([(0.0, 0.0), (2.0, 2.0), (4.0, 1.0)], slope_after=0.5)
+    assert history(q, 2.0).left_slope(0) == pytest.approx(1.0)  # breakpoint
+    assert history(q, 3.0).left_slope(0) == pytest.approx(-0.5)  # between
+    # past the last breakpoint: the last piece, not the extrapolation slope
+    assert history(q, 6.0).left_slope(0) == pytest.approx(-0.5)
+
+
 def test_linear_predictor_extrapolates_and_caps():
     # queue rising at slope 0.5, horizon 4: forecast rises then freezes
     h = history(pl([(0.0, 0.0), (6.0, 3.0)], slope_after=0.5), 6.0)

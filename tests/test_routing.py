@@ -6,7 +6,13 @@ import pytest
 from dpeflow.network import Network
 from dpeflow.predictors import fifo_fix
 from dpeflow.pwl import NotMonotoneError, PiecewiseLinearFn, identity_fn
-from dpeflow.routing import ConvergenceError, LabelSet, compute_labels
+from dpeflow.routing import (
+    CHANGE_TOL,
+    ConvergenceError,
+    LabelSet,
+    _labels_differ,
+    compute_labels,
+)
 
 
 def path_arrival_oracle(network, sink, exit_fns, node, t):
@@ -157,7 +163,9 @@ def test_slower_edge_is_inactive():
     ls = compute_labels(net, "t", {0: shift(2.0), 1: shift(2.0 + 1e-6)})
     assert [e.id for e in ls.active_edges("s", 0.0)] == [0]
     # a looser tolerance admits it again
-    assert len(ls.active_edges("s", 0.0, tol=1e-3)) == 2
+    loose = compute_labels(net, "t", {0: shift(2.0), 1: shift(2.0 + 1e-6)},
+                           active_tolerance=1e-3)
+    assert len(loose.active_edges("s", 0.0)) == 2
 
 
 def test_active_set_changes_with_time():
@@ -179,6 +187,17 @@ def test_time_rewinding_exit_fn_aborts():
     rewind = PiecewiseLinearFn((0.0,), (-1.0,), 1.0, 1.0)
     with pytest.raises(ConvergenceError, match="rewinding"):
         compute_labels(net, "t", {0: rewind, 1: rewind, 2: shift(1.0)})
+
+
+def test_labels_one_float_step_apart_do_not_differ():
+    # near 1.1e5 one float step is 1.46e-11, above the absolute CHANGE_TOL
+    a = PiecewiseLinearFn((0.0, 10.0), (1.1e5, 1.1e5 + 10.0), 1.0, 1.0)
+    b = PiecewiseLinearFn((0.0, 10.0), (math.nextafter(1.1e5, math.inf),
+                                        1.1e5 + 10.0), 1.0, 1.0)
+    assert a.values != b.values
+    assert not _labels_differ(a, b, CHANGE_TOL)
+    c = PiecewiseLinearFn((0.0, 10.0), (1.1e5 + 1e-4, 1.1e5 + 10.0), 1.0, 1.0)
+    assert _labels_differ(a, c, CHANGE_TOL)
 
 
 def test_decreasing_exit_fn_rejected():

@@ -1,13 +1,16 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import PREDICTOR_CYCLE
 from dpeflow.network import (
     Commodity,
     Network,
     Scenario,
     block_inflow,
     load_scenario,
+    random_commodities,
 )
 from dpeflow.predictors import PredictorModeError
 from dpeflow.simulation import (
@@ -188,3 +191,29 @@ def test_runs_are_deterministic():
     ra = compute_metrics(a).rows[0]
     rb = compute_metrics(b).rows[0]
     assert ra == rb
+
+
+def test_reordered_sioux_falls_runs_to_horizon(sioux_network):
+    # Node names, edge order and commodity order permuted: label correction
+    # visits nodes in another order, and labels near 1e5 must not count float
+    # noise as improvement, or correction aborts with ConvergenceError.
+    comms = random_commodities(
+        sioux_network, 12, seed=12, inflow_factor=0.5, inflow_cutoff=25.0,
+        predictor_kinds=PREDICTOR_CYCLE)
+    rng = np.random.default_rng(2)
+    names = list(sioux_network.nodes)
+    rename = dict(zip(names, (names[k] for k in rng.permutation(len(names)))))
+    edges = [sioux_network.edges[k]
+             for k in rng.permutation(len(sioux_network.edges))]
+    net = Network([rename[v] for v in names],
+                  [(rename[e.tail], rename[e.head], e.transit_time,
+                    e.capacity) for e in edges])
+    comms = tuple(Commodity(c.id, rename[c.source], rename[c.sink], c.inflow,
+                            dict(c.predictor_spec))
+                  for c in (comms[k] for k in rng.permutation(len(comms))))
+    scenario = Scenario(network=net, commodities=comms, prediction_step=1.0,
+                        horizon=30.0)
+    result = run(scenario)
+    assert len(result.rounds) == 30
+    assert result.state.built_until == pytest.approx(30.0)
+    result.state.audit_flow(tol=1e-6)
