@@ -5,19 +5,31 @@ departure time to the earliest predicted arrival at the sink.  Labels satisfy
 the recursion l_v = min over out-edges e = (v, w) of l_w composed with the
 exit time of e, with the sink fixed at the identity.
 
-Labels are computed by backward label correcting over the function space:
-whenever a node's label improves, its in-neighbors are recomputed.  Predicted
-exit times always exceed the departure time by at least the transit time, so
-optimal arrivals are attained by simple paths and every label stabilizes
-after at most one pass per node; a node popped more often than that signals a
-malformed exit-time function and aborts.
+Shift-only forecasts need no function algebra.  The zero, constant and
+threshold predictors, and the linear and reg_linear predictors whenever their
+forecast is flat, predict exit times t + c_e with c_e > 0.  Then every label
+is t + dist(v), where dist is the static shortest-path distance to the sink
+on the costs c_e, and one Dijkstra from the sink gives all labels.  (A
+regression forecast keeps its last sample as a second breakpoint even when
+flat, so it always takes label correction.)  ``simulation.audit_ide`` keeps
+its own Bellman-Ford as the independent check of the Dijkstra labels.
+
+Every other forecast goes through backward label correcting over the
+function space: whenever a node's label improves, its in-neighbors are
+recomputed.  Predicted exit times always exceed the departure time by at
+least the transit time, so optimal arrivals are attained by simple paths.
+The FIFO queue processes nodes in Bellman-Ford passes, each popping a node
+at most once, and labels settle within |V| - 1 passes; a node popped more
+than |V| + 2 times signals a malformed exit-time function and aborts.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
 from .network import Network
 from .pwl import (
@@ -75,9 +87,57 @@ class LabelSet:
 def compute_labels(network: Network, sink: str,
                    exit_fns: dict[int, PiecewiseLinearFn],
                    active_tolerance: float = 1e-9) -> LabelSet:
-    """Backward label correction from ``sink`` under the given exit times."""
+    """Earliest-arrival labels toward ``sink`` under the given exit times.
+
+    One Dijkstra when every exit time is a positive shift, backward label
+    correction otherwise.
+    """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
+    shifts = _positive_shifts(exit_fns)
+    if shifts is not None:
+        labels = _shift_labels(network, sink, shifts)
+    else:
+        labels = _corrected_labels(network, sink, exit_fns)
+    return LabelSet(network, sink, labels, dict(exit_fns), active_tolerance)
+
+
+def _positive_shifts(exit_fns):
+    """Edge id -> c_e if every exit time is t + c_e with c_e > 0, else None."""
+    shifts = {}
+    for eid, f in exit_fns.items():
+        if (len(f.times) != 1 or f.slope_before_first != 1.0
+                or f.slope_after_last != 1.0):
+            return None
+        c = f.values[0] - f.times[0]
+        if not c > 0.0:
+            return None
+        shifts[eid] = c
+    return shifts
+
+
+def _shift_labels(network, sink, shifts):
+    """Labels t + dist(v) from one Dijkstra over in-edges from the sink."""
+    dist = {sink: 0.0}
+    # the counter breaks distance ties, so node ids are never compared
+    tie = count()
+    heap = [(0.0, next(tie), sink)]
+    while heap:
+        d, _, w = heapq.heappop(heap)
+        if d > dist[w]:
+            continue
+        for e in network.in_edges[w]:
+            nd = d + shifts[e.id]
+            if nd < dist.get(e.tail, math.inf):
+                dist[e.tail] = nd
+                heapq.heappush(heap, (nd, next(tie), e.tail))
+    # at the sink this is identity_fn()
+    return {v: PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
+            for v, d in dist.items()}
+
+
+def _corrected_labels(network, sink, exit_fns):
+    """Backward label correction from ``sink`` under the given exit times."""
     labels: dict[str, PiecewiseLinearFn] = {sink: identity_fn()}
     pending = deque([sink])
     queued = {sink}
@@ -104,7 +164,7 @@ def compute_labels(network: Network, sink: str,
                     pending.append(v)
                     queued.add(v)
 
-    return LabelSet(network, sink, labels, dict(exit_fns), active_tolerance)
+    return labels
 
 
 def _best_label(network, v, labels, exit_fns):

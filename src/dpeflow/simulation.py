@@ -98,6 +98,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                                   base_dir=scenario.base_dir,
                                   final_state=realized_state)
                   for c in comms]
+    # forecasts are shared per predictor spec, labels per (spec, sink)
+    spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -115,20 +117,20 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         round_end = min((k + 1) * eps, horizon)
         record = RoundRecord(k, round_start)
         history = QueueHistory(state, round_start)
-        label_cache: dict[int, LabelSet] = {}
+        label_cache: dict[tuple[str, str], LabelSet] = {}
         exit_cache: dict[str, dict] = {}
 
         def labels_for(i: int) -> LabelSet:
-            ls = label_cache.get(i)
+            spec_key, sink = spec_keys[i], comms[i].sink
+            ls = label_cache.get((spec_key, sink))
             if ls is None:
-                spec_key = json.dumps(comms[i].predictor_spec, sort_keys=True)
                 exit_fns = exit_cache.get(spec_key)
                 if exit_fns is None:
                     exit_fns = _exit_fns(predictors[i], history, net)
                     exit_cache[spec_key] = exit_fns
-                ls = compute_labels(net, comms[i].sink, exit_fns,
+                ls = compute_labels(net, sink, exit_fns,
                                     scenario.active_tolerance)
-                label_cache[i] = ls
+                label_cache[(spec_key, sink)] = ls
             return ls
 
         t = round_start

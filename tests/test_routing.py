@@ -11,6 +11,7 @@ from dpeflow.routing import (
     ConvergenceError,
     LabelSet,
     _labels_differ,
+    _positive_shifts,
     compute_labels,
 )
 
@@ -131,6 +132,52 @@ def test_shift_network_labels_are_exact(seed):
         assert all(abs(t) < 1e6 for t in fn.times)
         for t in (0.0, 6.0, 13.7):
             assert ls.earliest_arrival(v, t) == t + dist[v]
+
+
+def assert_shift_paths_agree(net, sink, costs):
+    # each shift once with one breakpoint (Dijkstra) and once with a
+    # collinear second breakpoint (label correction)
+    one = {eid: shift(c) for eid, c in costs.items()}
+    two = {eid: PiecewiseLinearFn((0.0, 5.0), (c, 5.0 + c), 1.0, 1.0)
+           for eid, c in costs.items()}
+    assert _positive_shifts(one) is not None and _positive_shifts(two) is None
+    fast, slow = compute_labels(net, sink, one), compute_labels(net, sink, two)
+    assert fast.labels.keys() == slow.labels.keys()
+    for v in net.nodes:
+        for t in (-2.0, 0.0, 6.0, 13.7):
+            want = slow.earliest_arrival(v, t)
+            got = fast.earliest_arrival(v, t)
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert fast.active_edges(v, t) == slow.active_edges(v, t)
+    return fast
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shift_paths_agree(seed):
+    rng = np.random.default_rng(seed)
+    net, _, sink = random_instance(rng, int(rng.integers(5, 12)))
+    assert_shift_paths_agree(
+        net, sink, {e.id: round(float(rng.uniform(0.5, 4.0)), 3)
+                    for e in net.edges})
+
+
+def test_shift_paths_agree_on_mixed_node_ids_and_ties():
+    # 1 and "a" both sit at distance 2 and enter the heap together; every
+    # tail below has two equally short routes
+    net = Network([0, "a", 1, "b", 2, "t", "u"],
+                  [(0, "a", 1.0, 1.0), (0, 1, 1.0, 1.0), ("a", "t", 1.0, 1.0),
+                   (1, "t", 1.0, 1.0), ("a", "b", 1.0, 1.0),
+                   ("b", "t", 1.0, 1.0), (2, 0, 1.0, 1.0),
+                   (2, "b", 1.0, 1.0), ("t", "u", 1.0, 1.0)])
+    costs = {0: 1.0, 1: 1.0, 2: 2.0, 3: 2.0, 4: 1.5, 5: 0.5, 6: 1.0, 7: 3.5,
+             8: 1.0}
+    ls = assert_shift_paths_agree(net, "t", costs)
+    assert "u" not in ls.labels
+    for v, ids in ((0, [0, 1]), ("a", [2, 4]), (2, [6, 7])):
+        assert [e.id for e in ls.active_edges(v, 0.0)] == ids
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,6 +12,7 @@ from dpeflow.network import (
     load_scenario,
     random_commodities,
 )
+from dpeflow import simulation
 from dpeflow.predictors import PredictorModeError
 from dpeflow.simulation import (
     audit_dpe,
@@ -112,6 +113,16 @@ def test_constant_predictor_matches_instantaneous_shortest_paths():
     assert audit_dpe(result) > 0
 
 
+def test_constant_predictor_on_sioux_falls_is_instantaneous(sioux_network):
+    comms = random_commodities(
+        sioux_network, 12, seed=12, inflow_factor=0.5, inflow_cutoff=25.0,
+        predictor_kinds=({"kind": "constant"},))
+    scenario = Scenario(network=sioux_network, commodities=comms,
+                        prediction_step=1.0, horizon=30.0)
+    result = run(scenario)
+    assert audit_ide(result, tol=1e-9) == audit_dpe(result) == 1253
+
+
 def test_ide_audit_refuses_other_predictors():
     result = run(two_routes())
     with pytest.raises(ValueError, match="constant"):
@@ -176,6 +187,50 @@ def test_sweep_variant_rescales_inflow():
     assert v.commodities[0].inflow(0.0) == pytest.approx(6.0)
     assert v.commodities[0].inflow.times[-1] == pytest.approx(25.0)
     assert v.commodities[0].predictor_spec == {"kind": "linear"}
+
+
+# ------------------------------------------------------------ label sharing
+
+
+def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
+    net = Network(["s", "a", "t"],
+                  [("s", "a", 1.0, 1.0), ("a", "t", 1.0, 1.0),
+                   ("s", "t", 2.5, 1.0), ("a", "t", 2.0, 1.0)])
+    comms = (
+        Commodity(0, "s", "t", block_inflow(3.0, 4.0), {"kind": "zero"}),
+        Commodity(1, "a", "t", block_inflow(2.0, 5.0), {"kind": "zero"}),
+        Commodity(2, "s", "t", block_inflow(1.0, 3.0), {"kind": "constant"}),
+    )
+    scenario = Scenario(network=net, commodities=comms, prediction_step=0.5,
+                        horizon=12.0)
+    plain = run(scenario)
+
+    calls = []
+    real_history = simulation.QueueHistory
+    real_labels = simulation.compute_labels
+
+    def history(state, now):
+        calls.append([])
+        return real_history(state, now)
+
+    def labels(net, sink, exit_fns, tol):
+        calls[-1].append(sink)
+        return real_labels(net, sink, exit_fns, tol)
+
+    monkeypatch.setattr(simulation, "QueueHistory", history)
+    monkeypatch.setattr(simulation, "compute_labels", labels)
+    shared = run(scenario)
+
+    assert len(calls) == len(shared.rounds)
+    for record, round_calls in zip(shared.rounds, calls):
+        pairs = {(comms[i].predictor_spec["kind"], comms[i].sink)
+                 for i, _ in record.active_queries}
+        assert len(round_calls) <= len(pairs)
+    assert sum(map(len, calls)) > 0
+    assert shared.events == plain.events
+    assert ([r.active_queries for r in shared.rounds]
+            == [r.active_queries for r in plain.rounds])
+    assert compute_metrics(shared) == compute_metrics(plain)
 
 
 # -------------------------------------------------------------- determinism
