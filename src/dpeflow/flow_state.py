@@ -20,10 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .network import Network
-from .pwl import PiecewiseLinearFn, RightConstantFn
-
-_T_EPS = 1e-12   # time comparison slack for breakpoint bookkeeping
-_Q_EPS = 1e-12   # queue positivity threshold
+from .pwl import EPS, PiecewiseLinearFn, RightConstantFn
 
 
 @dataclass(frozen=True)
@@ -88,23 +85,29 @@ class FlowOverTime:
             raise ValueError(f"inflow rate must be finite and >= 0, got {rate}")
         if end <= start:
             raise ValueError(f"empty assignment interval [{start}, {end})")
-        if start < self.built_until - 1e-9:
+        if start < self.built_until - EPS:
             raise ValueError(
                 f"assignment at {start} before built horizon {self.built_until}")
         es = self._edges[edge]
         times, rates = es.in_times[commodity], es.in_rates[commodity]
-        if start < times[-1] - _T_EPS:
+        if start < times[-1] - EPS:
             raise ValueError(
                 f"assignment at {start} before existing breakpoint {times[-1]}")
-        until = es.assigned_until[commodity]
-        if start > until + _T_EPS and rates[-1] != 0.0 and times[-1] <= until + _T_EPS:
-            self._rc_append(times, rates, until, 0.0)
+        self._close_expired(es, commodity, start)
         self._rc_append(times, rates, start, rate)
-        es.assigned_until[commodity] = max(until, end)
+        es.assigned_until[commodity] = max(es.assigned_until[commodity], end)
+
+    def _close_expired(self, es, i, t):
+        """Drop commodity i's inflow on ``es`` to 0 where its assignment ended,
+        if that lies before ``t``."""
+        until = es.assigned_until[i]
+        times, rates = es.in_times[i], es.in_rates[i]
+        if t > until + EPS and rates[-1] != 0.0 and times[-1] <= until + EPS:
+            self._rc_append(times, rates, until, 0.0)
 
     @staticmethod
     def _rc_append(times, rates, t, value):
-        if abs(t - times[-1]) <= _T_EPS:
+        if abs(t - times[-1]) <= EPS:
             if value != rates[-1]:
                 if len(rates) >= 2 and rates[-2] == value:
                     times.pop()
@@ -125,9 +128,9 @@ class FlowOverTime:
         the way (their times may lie beyond ``until``: outflows are knowable
         up to each edge's exit time of the built horizon).
         """
-        if until < self.built_until - _T_EPS:
+        if until < self.built_until - EPS:
             raise ValueError(f"cannot advance backwards to {until}")
-        if until <= self.built_until + _T_EPS:
+        if until <= self.built_until + EPS:
             self.built_until = max(self.built_until, until)
             return []
         events = []
@@ -142,17 +145,12 @@ class FlowOverTime:
         cap = es.edge.capacity
         n = self.n_commodities
 
-        for i in range(n):
-            until = es.assigned_until[i]
-            if until < t1 - _T_EPS and es.in_rates[i][-1] != 0.0 \
-                    and es.in_times[i][-1] <= until + _T_EPS:
-                self._rc_append(es.in_times[i], es.in_rates[i], until, 0.0)
-
         marks = {t0, t1}
         for i in range(n):
+            self._close_expired(es, i, t1)
             ts = es.in_times[i]
             j = bisect_right(ts, t0)
-            while j < len(ts) and ts[j] < t1 - _T_EPS:
+            while j < len(ts) and ts[j] < t1 - EPS:
                 marks.add(ts[j])
                 j += 1
 
@@ -161,20 +159,23 @@ class FlowOverTime:
             rates = [es.in_rates[i][max(bisect_right(es.in_times[i], p) - 1, 0)]
                      for i in range(n)]
             r = sum(rates)
-            while p < p2 - _T_EPS:
-                if q0 > _Q_EPS:
+            while p < p2 - EPS:
+                if q0 <= EPS:
+                    q0 = 0.0
+                if q0 > 0.0 or r > cap + EPS:
+                    # a queue exists or builds up: the server runs at capacity
                     slope = r - cap
                     pe = p2
                     depleted = False
-                    if slope < -_Q_EPS:
+                    if slope < -EPS:
                         t_zero = p + q0 / -slope
-                        if t_zero <= p2 - _T_EPS:
+                        if t_zero <= p2 - EPS:
                             pe, depleted = t_zero, True
-                        elif t_zero <= p2 + _T_EPS:
+                        elif t_zero <= p2 + EPS:
                             pe, depleted = p2, True
                     q1 = 0.0 if depleted else q0 + slope * (pe - p)
                     self._q_append(es, pe, q1, slope)
-                    if r > _Q_EPS:
+                    if r > EPS:
                         exit_end = pe + tau + q1 / cap
                         self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
                     if depleted:
@@ -183,22 +184,13 @@ class FlowOverTime:
                     q0 = q1
                     p = pe
                 else:
-                    q0 = 0.0
-                    if r > cap + _Q_EPS:
-                        slope = r - cap
-                        q1 = slope * (p2 - p)
-                        self._q_append(es, p2, q1, slope)
-                        exit_end = p2 + tau + q1 / cap
-                        self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
-                        q0 = q1
-                    else:
-                        self._q_append(es, p2, 0.0, 0.0)
-                        self._emit(es, rates, min(r, cap), p2 + tau, events)
+                    self._q_append(es, p2, 0.0, 0.0)
+                    self._emit(es, rates, min(r, cap), p2 + tau, events)
                     p = p2
 
     def _emit(self, es, comm_rates, agg_rate, exit_end, events):
         start = es.exit_cursor
-        if exit_end <= start + _T_EPS:
+        if exit_end <= start + EPS:
             return
         for i, rate in enumerate(comm_rates):
             times, rates = es.out_times[i], es.out_rates[i]
@@ -208,22 +200,20 @@ class FlowOverTime:
                 events.append(SimEvent(
                     time=start, kind="outflow_change", edge=es.edge.id,
                     commodity=i, detail=f"{before:g}->{rate:g}"))
-        self._agg_append(es, start, agg_rate, events)
-        es.exit_cursor = exit_end
-
-    def _agg_append(self, es, t, rate, events):
         before = es.agg_rates[-1]
-        self._rc_append(es.agg_times, es.agg_rates, t, rate)
-        if rate != before:
+        self._rc_append(es.agg_times, es.agg_rates, start, agg_rate)
+        if agg_rate != before:
             events.append(SimEvent(
-                time=t, kind="outflow_change", edge=es.edge.id,
-                detail=f"{before:g}->{rate:g}"))
+                time=start, kind="outflow_change", edge=es.edge.id,
+                detail=f"{before:g}->{agg_rate:g}"))
+        es.exit_cursor = exit_end
 
     def _q_append(self, es, t, v, slope):
         v = max(v, 0.0)
-        if t <= es.q_times[-1] + _T_EPS:
+        if t <= es.q_times[-1] + EPS:
             return
-        if es.q_slope_last is not None and abs(es.q_slope_last - slope) <= 1e-12 \
+        if es.q_slope_last is not None \
+                and abs(es.q_slope_last - slope) <= EPS * max(1.0, abs(slope)) \
                 and len(es.q_times) >= 2:
             es.q_times[-1] = t
             es.q_values[-1] = v
@@ -278,7 +268,7 @@ class FlowOverTime:
     def queue_fn(self, edge: int) -> PiecewiseLinearFn:
         es = self._edges[edge]
         times, values = es.q_times, es.q_values
-        if times[-1] < self.built_until - _T_EPS:
+        if times[-1] < self.built_until - EPS:
             times = times + [self.built_until]
             values = values + [values[-1]]
         return PiecewiseLinearFn(tuple(times), tuple(values), 0.0, 0.0)
@@ -290,7 +280,7 @@ class FlowOverTime:
         best = None
         for es in self._edges:
             for times in es.out_times + [es.agg_times]:
-                j = bisect_right(times, after + _T_EPS)
+                j = bisect_right(times, after + EPS)
                 if j < len(times) and (best is None or times[j] < best):
                     best = times[j]
         return best

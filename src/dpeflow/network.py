@@ -21,6 +21,10 @@ from .pwl import RightConstantFn
 
 SCENARIO_FORMAT = "dpe-scenario/1"
 
+ACTIVE_TOLERANCE = 1e-9
+"""Default slack, in time units, by which an active edge's predicted arrival
+may exceed the node label."""
+
 NodeId = str | int
 
 
@@ -125,16 +129,20 @@ class Scenario:
     horizon: float
     inflow_cutoff: float | None = None
     predictor_params: PredictorParams = field(default_factory=PredictorParams)
-    active_tolerance: float = 1e-9
+    active_tolerance: float = ACTIVE_TOLERANCE
     seed: int = 0
     base_dir: Path | None = None       # resolves relative model paths
 
     def __post_init__(self):
-        if not (self.prediction_step > 0):
+        if not (0 < self.prediction_step < math.inf):
             raise ValidationError(
-                f"prediction_step must be > 0, got {self.prediction_step}")
-        if not (self.horizon > 0):
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+                f"prediction_step must be finite and > 0, got {self.prediction_step}")
+        if not (0 < self.horizon < math.inf):
+            raise ValidationError(
+                f"horizon must be finite and > 0, got {self.horizon}")
+        if not (0 <= self.active_tolerance < math.inf):
+            raise ValidationError("active_tolerance must be finite and >= 0, "
+                                  f"got {self.active_tolerance}")
         if not (self.predictor_params.delta > 0):
             raise ValidationError("predictor_params.delta must be > 0")
         cutoff = self.inflow_cutoff
@@ -241,7 +249,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         horizon=float(doc["horizon"]),
         inflow_cutoff=doc.get("inflow_cutoff"),
         predictor_params=params,
-        active_tolerance=float(doc.get("active_tolerance", 1e-9)),
+        active_tolerance=float(doc.get("active_tolerance", ACTIVE_TOLERANCE)),
         seed=int(doc.get("seed", 0)),
         base_dir=base_dir,
     )

@@ -24,7 +24,7 @@ from .pwl import (
     PiecewiseLinearFn,
     RightConstantFn,
     constant_fn,
-    prune,
+    from_points,
 )
 
 
@@ -103,7 +103,7 @@ def fifo_fix(points: list[tuple[float, float]], capacity: float) -> tuple[list[t
     for t, q in points:
         q = max(q, 0.0)
         exit_val = t + q / capacity
-        if exit_val < best - 1e-12:
+        if exit_val < best - EPS:
             q = (best - t) * capacity
             fixes += 1
             exit_val = best
@@ -122,11 +122,11 @@ def _extrapolate(now: float, q_now: float, dq: float,
         # the slope freezes at the horizon, so a later zero crossing is moot
         pts.append((hit, 0.0) if hit <= cap_t
                    else (cap_t, q_now + dq * horizon))
-        return _pl_from_points(pts, slope_after=0.0)
+        return from_points(pts, slope_after=0.0)
     if dq > 0.0 and math.isfinite(horizon):
         pts.append((now + horizon, q_now + dq * horizon))
-        return _pl_from_points(pts, slope_after=0.0)
-    return _pl_from_points(pts, slope_after=max(dq, 0.0))
+        return from_points(pts, slope_after=0.0)
+    return from_points(pts, slope_after=max(dq, 0.0))
 
 
 # --------------------------------------------------------------- predictors
@@ -271,21 +271,8 @@ class RegressionPredictor:
             val = row[0] + sum(c * x for c, x in zip(row[1:], feats))
             pts.append((now + j * model.sample_step, max(val, 0.0)))
         pts, fixes = fifo_fix(pts, edge.capacity)
-        fn = _pl_from_points(pts, slope_after=0.0)
+        fn = from_points(pts, slope_after=0.0)
         return PredictedQueue(edge_id, now, fn, fifo_fixes=fixes)
-
-
-def _pl_from_points(pts, slope_after=0.0, slope_before=0.0):
-    times, values = [], []
-    for t, v in pts:
-        if times and t <= times[-1] + 1e-12:
-            continue
-        times.append(t)
-        values.append(v)
-    fn = PiecewiseLinearFn(tuple(times), tuple(values),
-                           slope_before_first=slope_before,
-                           slope_after_last=slope_after)
-    return prune(fn)
 
 
 # ----------------------------------------------------------------- regression
@@ -458,8 +445,8 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
         pred = np.clip(A @ coef.T, 0.0, None)
         ss_res = float(((Y - pred) ** 2).sum())
         ss_tot = float(((Y - Y.mean(axis=0)) ** 2).sum())
-        if ss_tot <= 1e-12:
-            return 1.0 if ss_res <= 1e-12 else 0.0
+        if ss_tot <= EPS:
+            return 1.0 if ss_res <= EPS else 0.0
         return 1.0 - ss_res / ss_tot
 
     n_rows = sum(len(g) for g in grids)

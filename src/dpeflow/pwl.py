@@ -4,10 +4,17 @@ Two representations cover everything the flow model needs: continuous
 piecewise-linear functions (queues, cumulative flows, arrival labels) and
 right-continuous step functions (flow rates).  Piecewise-linear functions are
 total on the real line, extrapolating by their boundary slopes; step functions
-have an explicit domain start and extend their last value forever.
+start at their first breakpoint and extend their last value forever.
 
 Instances are immutable and safe to share between threads; every operation
 returns a new object.
+
+The simulator's one tolerance is :data:`EPS`, used by every module:
+
+- times, rates and queues are compared absolutely, ``|a - b| <= EPS``;
+- slopes, collinearity and label values are compared relatively,
+  ``|a - b| <= EPS * max(1.0, |x|)``;
+- ties (which of two equal candidates wins) compare exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +23,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-EPS = 1e-9
-"""Global comparison tolerance: breakpoint dedup, crossing detection."""
-
-_COLLINEAR_TOL = 1e-12
+EPS = 1.0e-12
+"""The simulator's one comparison tolerance (see the module docstring)."""
 
 
 class DomainError(ValueError):
@@ -48,54 +53,30 @@ class RightConstantFn:
     """Right-continuous step function.
 
     The value at t is the value of the last breakpoint <= t; after the final
-    breakpoint the last value extends forever.  Evaluation before
-    ``domain_start`` raises :class:`DomainError`.
+    breakpoint the last value extends forever.  Evaluation before the first
+    breakpoint raises :class:`DomainError`.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    domain_start: float | None = None
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         values = tuple(float(v) for v in self.values)
         _check_breakpoints(times, values)
-        start = self.domain_start
-        start = times[0] if start is None else float(start)
-        if start > times[0]:
-            raise ValueError("domain_start must not lie after the first breakpoint")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "domain_start", start)
 
     def __call__(self, t: float) -> float:
-        if t < self.domain_start - EPS:
-            raise DomainError(f"evaluation at {t} before domain start {self.domain_start}")
+        if t < self.times[0] - EPS:
+            raise DomainError(f"evaluation at {t} before domain start {self.times[0]}")
         i = bisect_right(self.times, t) - 1
         return self.values[max(i, 0)]
 
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]."""
-        if b < a:
-            raise ValueError("integration bounds must satisfy a <= b")
-        if a < self.domain_start - EPS:
-            raise DomainError(f"integration from {a} before domain start {self.domain_start}")
-        total = 0.0
-        lo = a
-        i = max(bisect_right(self.times, a) - 1, 0)
-        while lo < b:
-            hi = self.times[i + 1] if i + 1 < len(self.times) else math.inf
-            hi = min(hi, b)
-            if hi > lo:
-                total += self.values[i] * (hi - lo)
-            lo = hi
-            i += 1
-        return total
-
     def cumulative(self) -> "PiecewiseLinearFn":
-        """The running integral from the domain start as a continuous
+        """The running integral from the first breakpoint as a continuous
         piecewise-linear function."""
-        times = [self.domain_start]
+        times = [self.times[0]]
         values = [0.0]
         # each later breakpoint closes a span at the preceding rate
         for t, rate_prev in zip(self.times[1:], self.values):
@@ -144,16 +125,6 @@ class PiecewiseLinearFn:
         span = times[i + 1] - times[i]
         w = (t - times[i]) / span
         return values[i] * (1.0 - w) + values[i + 1] * w
-
-    def slope_at(self, t: float) -> float:
-        """Slope of the piece containing t (right-slope at breakpoints)."""
-        times = self.times
-        if t < times[0]:
-            return self.slope_before_first
-        if t >= times[-1]:
-            return self.slope_after_last
-        i = bisect_right(times, t) - 1
-        return (self.values[i + 1] - self.values[i]) / (times[i + 1] - times[i])
 
     def left_slope(self, t: float) -> float:
         """Slope of the piece ending at t (left-derivative)."""
@@ -210,16 +181,30 @@ def linear_combination(
     values = tuple(sum(c * f(t) for f, c in zip(fns, coeffs)) for t in grid)
     before = sum(c * f.slope_before_first for f, c in zip(fns, coeffs))
     after = sum(c * f.slope_after_last for f, c in zip(fns, coeffs))
-    return prune(PiecewiseLinearFn(tuple(grid), values, before, after))
+    return prune(PiecewiseLinearFn(grid, values, before, after))
 
 
-def _merged_times(time_lists) -> list[float]:
+def _distinct(pts) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Times and values of (t, v) points sorted by t, dropping every point
+    within EPS after the last one kept."""
+    times, values = [], []
+    for t, v in pts:
+        if not times or t - times[-1] > EPS:
+            times.append(t)
+            values.append(v)
+    return tuple(times), tuple(values)
+
+
+def _merged_times(time_lists) -> tuple[float, ...]:
     merged = sorted(set(t for ts in time_lists for t in ts))
-    out = []
-    for t in merged:
-        if not out or t - out[-1] > EPS:
-            out.append(t)
-    return out
+    return _distinct(zip(merged, merged))[0]
+
+
+def from_points(pts, slope_before: float = 0.0,
+                slope_after: float = 0.0) -> PiecewiseLinearFn:
+    """The pruned PL function through (t, v) points sorted by t."""
+    times, values = _distinct(pts)
+    return prune(PiecewiseLinearFn(times, values, slope_before, slope_after))
 
 
 def compose_monotone(
@@ -234,22 +219,15 @@ def compose_monotone(
     if not inner.is_nondecreasing():
         raise NotMonotoneError("compose_monotone requires a non-decreasing inner function")
 
-    cands = set(inner.times)
-    for y in outer.times:
-        cands.update(_preimages(inner, y))
-    grid = []
-    for t in sorted(cands):
-        if not grid or t - grid[-1] > EPS:
-            grid.append(t)
-
-    values = [outer(inner(t)) for t in grid]
+    grid = _merged_times([inner.times]
+                         + [_preimages(inner, y) for y in outer.times])
+    values = tuple(outer(inner(t)) for t in grid)
     # beyond the grid both factors sit on their boundary pieces (every outer
     # kink preimage is a grid candidate), so the chain rule is exact; a flat
     # inner tail zeroes the product whatever outer does
     slope_before = outer.slope_before_first * inner.slope_before_first
     slope_after = outer.slope_after_last * inner.slope_after_last
-    fn = PiecewiseLinearFn(tuple(grid), tuple(values), slope_before, slope_after)
-    return prune(fn)
+    return prune(PiecewiseLinearFn(grid, values, slope_before, slope_after))
 
 
 def _preimages(inner: PiecewiseLinearFn, y: float) -> list[float]:
@@ -294,7 +272,7 @@ def _envelope_forward(anchors, slopes, order, x0, x_end):
         v_cur = anchors[cur] + slopes[cur] * (x - x0)
         # slopes closer than this are parallel for our purposes: a crossing
         # they produce sits at value_gap / slope_gap, far outside any horizon
-        par = 1e-12 * max(1.0, abs(slopes[cur]))
+        par = EPS * max(1.0, abs(slopes[cur]))
         for j in range(len(anchors)):
             if j == cur or slopes[j] >= slopes[cur] - par:
                 continue
@@ -302,8 +280,8 @@ def _envelope_forward(anchors, slopes, order, x0, x_end):
             t = x + max(v_j - v_cur, 0.0) / (slopes[cur] - slopes[j])
             if t >= x_end - EPS:
                 continue
-            if (best_t is None or t < best_t - 1e-15
-                    or (abs(t - best_t) <= 1e-15
+            if (best_t is None or t < best_t
+                    or (t == best_t
                         and (slopes[j], order[j]) < (slopes[best_j], order[best_j]))):
                 best_t, best_j = t, j
         if best_t is None:
@@ -349,19 +327,7 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
         anchors, [f.slope_after_last for f in fns], order, g1, math.inf)
     pts.extend(verts)
 
-    times, values = _clean_points(pts)
-    fn = PiecewiseLinearFn(times, values, slope_before, slope_after)
-    return _drop_redundant_ends(prune(fn))
-
-
-def _clean_points(pts):
-    times, values = [], []
-    for t, v in pts:
-        if times and t - times[-1] <= EPS:
-            continue
-        times.append(t)
-        values.append(v)
-    return tuple(times), tuple(values)
+    return _drop_redundant_ends(from_points(pts, slope_before, slope_after))
 
 
 def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -369,14 +335,14 @@ def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
     times, values = list(f.times), list(f.values)
     while len(times) >= 2:
         s = (values[1] - values[0]) / (times[1] - times[0])
-        if abs(s - f.slope_before_first) <= _COLLINEAR_TOL * max(1.0, abs(s)):
+        if abs(s - f.slope_before_first) <= EPS * max(1.0, abs(s)):
             times.pop(0)
             values.pop(0)
         else:
             break
     while len(times) >= 2:
         s = (values[-1] - values[-2]) / (times[-1] - times[-2])
-        if abs(s - f.slope_after_last) <= _COLLINEAR_TOL * max(1.0, abs(s)):
+        if abs(s - f.slope_after_last) <= EPS * max(1.0, abs(s)):
             times.pop()
             values.pop()
         else:
@@ -397,7 +363,7 @@ def prune(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
         t1, v1 = pts[i]
         t2, v2 = pts[i + 1]
         interp = v0 + (v2 - v0) * (t1 - t0) / (t2 - t0)
-        if abs(v1 - interp) <= _COLLINEAR_TOL * max(1.0, abs(v1)):
+        if abs(v1 - interp) <= EPS * max(1.0, abs(v1)):
             continue
         kept.append(pts[i])
     if len(pts) > 1:

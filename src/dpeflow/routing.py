@@ -31,18 +31,15 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
-from .network import Network
+from .network import ACTIVE_TOLERANCE, Network
 from .pwl import (
+    EPS,
     PiecewiseLinearFn,
     compose_monotone,
     identity_fn,
     pointwise_min,
     prune,
 )
-
-# labels closer than this, relative to their size, are treated as unchanged
-# during correction
-CHANGE_TOL = 1e-11
 
 
 class ConvergenceError(Exception):
@@ -57,7 +54,7 @@ class LabelSet:
     sink: str
     labels: dict[str, PiecewiseLinearFn]
     exit_fns: dict[int, PiecewiseLinearFn]
-    active_tolerance: float = 1e-9
+    active_tolerance: float = ACTIVE_TOLERANCE
 
     def earliest_arrival(self, node: str, t: float) -> float:
         """Predicted arrival at the sink leaving ``node`` at ``t``.
@@ -86,7 +83,7 @@ class LabelSet:
 
 def compute_labels(network: Network, sink: str,
                    exit_fns: dict[int, PiecewiseLinearFn],
-                   active_tolerance: float = 1e-9) -> LabelSet:
+                   active_tolerance: float = ACTIVE_TOLERANCE) -> LabelSet:
     """Earliest-arrival labels toward ``sink`` under the given exit times.
 
     One Dijkstra when every exit time is a positive shift, backward label
@@ -158,7 +155,7 @@ def _corrected_labels(network, sink, exit_fns):
                 continue
             new = _best_label(network, v, labels, exit_fns)
             old = labels.get(v)
-            if old is None or _labels_differ(old, new, CHANGE_TOL):
+            if old is None or _labels_differ(old, new):
                 labels[v] = new
                 if v not in queued:
                     pending.append(v)
@@ -177,19 +174,14 @@ def _best_label(network, v, labels, exit_fns):
     return prune(pointwise_min(candidates))
 
 
-def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn,
-                   tol: float) -> bool:
+def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn) -> bool:
     # PL functions agreeing on both kink sets and boundary slopes agree
-    # everywhere, so this comparison is exact up to the tolerance.  Values are
-    # compared relative to max(1, |a(t)|, |b(t)|): extrapolated labels reach
-    # 1e5, where one float step (1.5e-11) already exceeds an absolute 1e-11.
-    if abs(a.slope_before_first - b.slope_before_first) > tol:
+    # everywhere, so this comparison is exact up to EPS, relative to the
+    # larger of the two slopes or values (and at least 1)
+    def differ(x, y):
+        return abs(x - y) > EPS * max(1.0, abs(x), abs(y))
+
+    if (differ(a.slope_before_first, b.slope_before_first)
+            or differ(a.slope_after_last, b.slope_after_last)):
         return True
-    if abs(a.slope_after_last - b.slope_after_last) > tol:
-        return True
-    for t in a.times + b.times:
-        va, vb = a(t), b(t)
-        gap = abs(va - vb)
-        if gap > tol and gap > tol * abs(va) and gap > tol * abs(vb):
-            return True
-    return False
+    return any(differ(a(t), b(t)) for t in a.times + b.times)

@@ -27,10 +27,8 @@ from .predictors import (
     build_predictor,
     exit_time_fn,
 )
-from .pwl import linear_combination
+from .pwl import EPS, linear_combination
 from .routing import LabelSet, compute_labels
-
-_RATE_EPS = 1e-12
 
 
 class StrandedFlowError(Exception):
@@ -111,7 +109,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
     tau_min = net.min_transit_time
     profile_marks = sorted({t for c in comms for t in c.inflow.times})
 
-    n_rounds = int(math.ceil(horizon / eps - 1e-9))
+    # at least one round, so that injected flow is always routed
+    n_rounds = max(1, math.ceil(horizon / eps - EPS))
     for k in range(n_rounds):
         round_start = k * eps
         round_end = min((k + 1) * eps, horizon)
@@ -134,18 +133,18 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             return ls
 
         t = round_start
-        while t < round_end - 1e-12:
+        while t < round_end - EPS:
             b = min(round_end, t + tau_min)
             nxt = state.next_rate_change(t)
             if nxt is not None:
                 b = min(b, nxt)
-            j = bisect_right(profile_marks, t + 1e-12)
+            j = bisect_right(profile_marks, t + EPS)
             if j < len(profile_marks):
                 b = min(b, profile_marks[j])
 
             for i, c in enumerate(comms):
                 for v, rate in _node_inflows(state, net, c, i, t).items():
-                    if v == c.sink or rate <= _RATE_EPS:
+                    if v == c.sink or rate <= EPS:
                         continue
                     key = (i, v)
                     if key in record.active_queries:
@@ -174,7 +173,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         if record_rounds:
             rounds.append(record)
 
-    if state.built_until < horizon - 1e-12:
+    if state.built_until < horizon - EPS:
         events.extend(state.advance(horizon))
     events.sort(key=lambda e: (e.time, e.kind, e.edge if e.edge is not None
                                else -1, e.commodity if e.commodity is not None
@@ -193,11 +192,11 @@ def _node_inflows(state, net, commodity, i, t):
     """Per-node inflow rates of one commodity at time ``t``."""
     rates: dict[str, float] = {}
     u = commodity.inflow(t)
-    if u > _RATE_EPS:
+    if u > EPS:
         rates[commodity.source] = u
     for e in net.edges:
         r = state.outflow_rate_at(i, e.id, t)
-        if r > _RATE_EPS:
+        if r > EPS:
             rates[e.head] = rates.get(e.head, 0.0) + r
     return rates
 
@@ -328,7 +327,7 @@ def _scalar_distances(net: Network, sink: str, costs: dict[int, float]):
             if d is None:
                 continue
             nd = costs[e.id] + d
-            if nd < dist.get(e.tail, math.inf) - 1e-15:
+            if nd < dist.get(e.tail, math.inf):
                 dist[e.tail] = nd
                 changed = True
         if not changed:

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -69,6 +70,16 @@ def test_invalid_scenario_is_an_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "dpe-scenario/1"}))
     assert main(["run", "--scenario", str(bad)]) == 1
+
+
+def test_infinite_horizon_is_an_input_error(scenario_file, tmp_path):
+    doc = json.loads(scenario_file.read_text())
+    doc["horizon"] = math.inf
+    scenario_file.write_text(json.dumps(doc))  # writes Infinity
+    assert "Infinity" in scenario_file.read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_csv(scenario_file, tmp_path):

@@ -110,6 +110,14 @@ def test_scenario_rejects_bad_steps():
         Scenario(net, (), 0.0, 10.0)
     with pytest.raises(ValidationError, match="exceeds horizon"):
         Scenario(net, (), 1.0, 10.0, inflow_cutoff=11.0)
+    for step, horizon in ((math.inf, 10.0), (math.nan, 10.0),
+                          (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            Scenario(net, (), step, horizon)
+    for tol in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="active_tolerance"):
+            Scenario(net, (), 1.0, 10.0, active_tolerance=tol)
+    Scenario(net, (), 1.0, 10.0, active_tolerance=0.0)
 
 
 def test_duplicate_edge_ids_rejected():

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -77,27 +79,16 @@ def test_left_slope():
 # ------------------------------------------------------------------ integrate
 
 
-def test_step_integral_hand_value():
-    f = RightConstantFn((0.0, 1.0), (2.0, 3.0))
-    assert f.integral(0.0, 2.0) == pytest.approx(5.0, abs=1e-12)
-
-
-def test_step_integral_partial_spans():
-    f = RightConstantFn((0.0, 1.0, 2.0), (1.0, 0.0, 4.0))
-    assert f.integral(0.5, 2.5) == pytest.approx(0.5 + 0.0 + 2.0, abs=1e-12)
-
-
-def test_integral_additivity():
-    f = RightConstantFn((0.0, 0.7, 2.0), (1.5, 0.25, 3.0))
-    a, m, b = 0.1, 1.3, 4.0
-    assert f.integral(a, b) == pytest.approx(f.integral(a, m) + f.integral(m, b), abs=1e-12)
-
-
 def test_cumulative_matches_integral():
     f = RightConstantFn((0.0, 1.0, 3.0), (2.0, 0.5, 0.0))
     F = f.cumulative()
+
+    def integral(t):  # by hand: rate 2 on [0, 1), 0.5 on [1, 3), then 0
+        return 2.0 * min(t, 1.0) + 0.5 * min(max(t - 1.0, 0.0), 2.0)
+
     for t in dense_grid(0.0, 5.0, 101):
-        assert F(t) == pytest.approx(f.integral(0.0, t), abs=1e-10)
+        assert F(t) == pytest.approx(integral(t), abs=1e-10)
+    assert (F(1.0), F(3.0), F(5.0)) == (2.0, 3.0, 3.0)
     assert F.slope_after_last == 0.0
 
 
@@ -273,3 +264,45 @@ def test_property_prune_stays_within_tolerance(f):
 @given(piecewise_linear(monotone=True))
 def test_property_monotone_survives_prune(f):
     assert prune(f).is_nondecreasing()
+
+
+# ----------------------------------------------------------- tolerance policy
+
+
+SRC = Path(__file__).parent.parent / "src" / "dpeflow"
+
+# Every float literal in (0, 1e-6) in the package, by file and enclosing
+# function (or module-level name).  Internal comparisons use pwl.EPS; only
+# user-facing defaults and regression-fit numerics may carry their own.
+SMALL_LITERALS = sorted([
+    ("network.py", "ACTIVE_TOLERANCE", 1e-9),   # default active_tolerance
+    ("predictors.py", "train_regression", 1e-8),  # ridge default
+    ("predictors.py", "train_regression", 1e-9),  # arange slack on the grid
+    ("pwl.py", "EPS", EPS),
+    ("simulation.py", "audit_ide", 1e-9),        # default audit tol
+])
+
+
+def _small_float_literals(path):
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name
+            elif isinstance(child, ast.Assign) and scope is None:
+                inner = getattr(child.targets[0], "id", None)
+            if (isinstance(child, ast.Constant) and type(child.value) is float
+                    and 0.0 < child.value < 1e-6):
+                found.append((path.name, scope, child.value))
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_internal_tolerance():
+    found = sorted(lit for path in sorted(SRC.glob("*.py"))
+                   for lit in _small_float_literals(path))
+    assert found == SMALL_LITERALS

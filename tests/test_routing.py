@@ -5,9 +5,8 @@ import pytest
 
 from dpeflow.network import Network
 from dpeflow.predictors import fifo_fix
-from dpeflow.pwl import NotMonotoneError, PiecewiseLinearFn, identity_fn
+from dpeflow.pwl import EPS, NotMonotoneError, PiecewiseLinearFn, identity_fn
 from dpeflow.routing import (
-    CHANGE_TOL,
     ConvergenceError,
     LabelSet,
     _labels_differ,
@@ -237,14 +236,20 @@ def test_time_rewinding_exit_fn_aborts():
 
 
 def test_labels_one_float_step_apart_do_not_differ():
-    # near 1.1e5 one float step is 1.46e-11, above the absolute CHANGE_TOL
+    # near 1.1e5 one float step is 1.46e-11, far above an absolute EPS
     a = PiecewiseLinearFn((0.0, 10.0), (1.1e5, 1.1e5 + 10.0), 1.0, 1.0)
     b = PiecewiseLinearFn((0.0, 10.0), (math.nextafter(1.1e5, math.inf),
                                         1.1e5 + 10.0), 1.0, 1.0)
     assert a.values != b.values
-    assert not _labels_differ(a, b, CHANGE_TOL)
+    assert abs(a(0.0) - b(0.0)) > 10 * EPS
+    assert not _labels_differ(a, b)
     c = PiecewiseLinearFn((0.0, 10.0), (1.1e5 + 1e-4, 1.1e5 + 10.0), 1.0, 1.0)
-    assert _labels_differ(a, c, CHANGE_TOL)
+    assert _labels_differ(a, c)
+    # slopes compare relatively too: 2 vs 2 + 1e-11 differs, a float step not
+    d = PiecewiseLinearFn(a.times, a.values, 1.0, 2.0)
+    assert not _labels_differ(d, PiecewiseLinearFn(
+        a.times, a.values, 1.0, math.nextafter(2.0, math.inf)))
+    assert _labels_differ(d, PiecewiseLinearFn(a.times, a.values, 1.0, 2.0 + 1e-11))
 
 
 def test_decreasing_exit_fn_rejected():
