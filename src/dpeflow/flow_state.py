@@ -7,16 +7,28 @@ the inflow capped at capacity.  Commodities share each edge under FIFO, so an
 exit interval carries the commodity mix of the matching entry interval.
 
 Inflow rates are assigned piecewise-constant and append-only; queues are the
-induced piecewise-linear trajectories.  Outflows are derived eagerly while
+induced piecewise-linear trajectories.  Outflows are derived while
 advancing, by walking entry intervals and mapping them through the edge's
 exit-time function via a running cursor (flat stretches of the exit-time map
 carry no entering mass, so the earlier entries simply keep discharging).
+
+Advancing is sparse in edges and in commodities.  An edge is live while its
+queue, its last inflow rate of some commodity, or one of its last outflow
+rates (per commodity or aggregate) is non-zero; only live edges are
+advanced, in edge-id order.  Once all of these are 0 the edge goes dormant:
+advancing it would only move its flat, empty queue to the built horizon and
+its exit cursor to the horizon plus the transit time.  A dormant edge does
+exactly that when it wakes, on its next ``assign_inflow``, and when its queue
+is read as a function (``queue_fn``, ``audit_flow``), so every recorded
+breakpoint is the one a full sweep would have produced.  On each edge only
+the commodities that ever had a non-zero inflow there are visited; all other
+commodities carry exact zeros, whose omission leaves every sum unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .network import Network
@@ -36,13 +48,15 @@ class SimEvent:
 
 class _EdgeState:
     __slots__ = (
-        "edge", "in_times", "in_rates", "assigned_until",
-        "out_times", "out_rates", "agg_times", "agg_rates",
+        "edge", "live", "commodities", "in_times", "in_rates",
+        "assigned_until", "out_times", "out_rates", "agg_times", "agg_rates",
         "q_times", "q_values", "q_slope_last", "exit_cursor",
     )
 
     def __init__(self, edge, n_commodities: int):
         self.edge = edge
+        self.live = False
+        self.commodities: list[int] = []   # sorted, ever had inflow > 0
         self.in_times = [[0.0] for _ in range(n_commodities)]
         self.in_rates = [[0.0] for _ in range(n_commodities)]
         self.assigned_until = [0.0] * n_commodities
@@ -60,16 +74,24 @@ class FlowOverTime:
     """Append-only record of all edge in/outflow rates and queues.
 
     ``assign_inflow`` declares a commodity's edge inflow on [a, b); rates left
-    unassigned fall back to zero once the assignment window expires.
-    ``advance`` extends queues and outflows up to a new built horizon.
-    Every queue starts empty.
+    unassigned fall back to zero once the assignment window expires, and an
+    assignment wakes a dormant edge.  ``advance`` extends the queues and
+    outflows of the live edges, and of their commodities with inflow, up to
+    a new built horizon; ``edges_advanced`` counts the edge extensions made.
+    Every queue starts empty and every edge dormant.
     """
 
     def __init__(self, network: Network, n_commodities: int):
         self.network = network
         self.n_commodities = n_commodities
         self.built_until = 0.0
+        self.edges_advanced = 0
         self._edges = [_EdgeState(e, n_commodities) for e in network.edges]
+        self._live: list[int] = []          # sorted ids of live edges
+        self._used: list[int] = []          # ids of edges that carried flow
+        # per commodity, sorted ids of the edges it ever entered
+        self._commodity_edges: list[list[int]] = [
+            [] for _ in range(n_commodities)]
 
     # ------------------------------------------------------------ assignment
 
@@ -83,7 +105,9 @@ class FlowOverTime:
         """
         if not (rate >= 0.0) or not math.isfinite(rate):
             raise ValueError(f"inflow rate must be finite and >= 0, got {rate}")
-        if end <= start:
+        if not math.isfinite(start):
+            raise ValueError(f"assignment start must be finite, got {start}")
+        if not (end > start):
             raise ValueError(f"empty assignment interval [{start}, {end})")
         if start < self.built_until - EPS:
             raise ValueError(
@@ -96,6 +120,15 @@ class FlowOverTime:
         self._close_expired(es, commodity, start)
         self._rc_append(times, rates, start, rate)
         es.assigned_until[commodity] = max(es.assigned_until[commodity], end)
+        if rate > 0.0 and commodity not in es.commodities:
+            if not es.commodities:
+                self._used.append(edge)
+            insort(es.commodities, commodity)
+            insort(self._commodity_edges[commodity], edge)
+        if not es.live:
+            self._catch_up(es)   # wake up
+            es.live = True
+            insort(self._live, edge)
 
     def _close_expired(self, es, i, t):
         """Drop commodity i's inflow on ``es`` to 0 where its assignment ended,
@@ -122,7 +155,8 @@ class FlowOverTime:
     # --------------------------------------------------------------- advance
 
     def advance(self, until: float) -> list[SimEvent]:
-        """Extend all queues and outflows to the new built horizon.
+        """Extend the queues and outflows of the live edges to the new built
+        horizon; dormant edges are skipped.
 
         Returns the outflow-change and queue-depletion events discovered along
         the way (their times may lie beyond ``until``: outflows are knowable
@@ -135,18 +169,42 @@ class FlowOverTime:
             return []
         events = []
         t0, t1 = self.built_until, until
-        for es in self._edges:
+        still_live = []
+        for eid in self._live:
+            es = self._edges[eid]
             self._advance_edge(es, t0, t1, events)
+            if self._is_busy(es, t1):
+                still_live.append(eid)
+            else:
+                es.live = False
+        self.edges_advanced += len(self._live)
+        self._live = still_live
         self.built_until = until
         return events
+
+    @staticmethod
+    def _is_busy(es, t):
+        """Whether advancing the edge past ``t`` could do more than keep an
+        empty queue empty."""
+        if es.q_values[-1] != 0.0 or es.agg_rates[-1] != 0.0:
+            return True
+        return any(es.in_rates[i][-1] != 0.0 or es.in_times[i][-1] > t
+                   or es.out_rates[i][-1] != 0.0 for i in es.commodities)
+
+    def _catch_up(self, es):
+        """Bring a dormant edge to the built horizon as advancing it would
+        have: the empty queue stays flat and the exit cursor follows."""
+        if not es.live:
+            self._q_append(es, self.built_until, 0.0, 0.0)
+            es.exit_cursor = self.built_until + es.edge.transit_time
 
     def _advance_edge(self, es, t0, t1, events):
         tau = es.edge.transit_time
         cap = es.edge.capacity
-        n = self.n_commodities
+        comms = es.commodities
 
         marks = {t0, t1}
-        for i in range(n):
+        for i in comms:
             self._close_expired(es, i, t1)
             ts = es.in_times[i]
             j = bisect_right(ts, t0)
@@ -157,7 +215,7 @@ class FlowOverTime:
         q0 = self._queue_value(es, t0)
         for p, p2 in _pairwise(sorted(marks)):
             rates = [es.in_rates[i][max(bisect_right(es.in_times[i], p) - 1, 0)]
-                     for i in range(n)]
+                     for i in comms]
             r = sum(rates)
             while p < p2 - EPS:
                 if q0 <= EPS:
@@ -192,7 +250,7 @@ class FlowOverTime:
         start = es.exit_cursor
         if exit_end <= start + EPS:
             return
-        for i, rate in enumerate(comm_rates):
+        for i, rate in zip(es.commodities, comm_rates):
             times, rates = es.out_times[i], es.out_rates[i]
             before = rates[-1]
             self._rc_append(times, rates, start, rate)
@@ -251,6 +309,12 @@ class FlowOverTime:
         ts = es.out_times[commodity]
         return es.out_rates[commodity][max(bisect_right(ts, t) - 1, 0)]
 
+    def outflows_at(self, commodity: int, t: float) -> list[tuple[int, float]]:
+        """(edge id, outflow rate at ``t``) of the commodity on every edge it
+        ever entered, in edge-id order; it has no outflow elsewhere."""
+        return [(eid, self.outflow_rate_at(commodity, eid, t))
+                for eid in self._commodity_edges[commodity]]
+
     def inflow_fn(self, commodity: int, edge: int) -> RightConstantFn:
         es = self._edges[edge]
         return RightConstantFn(tuple(es.in_times[commodity]),
@@ -267,6 +331,7 @@ class FlowOverTime:
 
     def queue_fn(self, edge: int) -> PiecewiseLinearFn:
         es = self._edges[edge]
+        self._catch_up(es)
         times, values = es.q_times, es.q_values
         if times[-1] < self.built_until - EPS:
             times = times + [self.built_until]
@@ -276,14 +341,16 @@ class FlowOverTime:
     def next_rate_change(self, after: float) -> float | None:
         """Earliest known outflow breakpoint strictly after ``after`` on any
         edge, aggregate or per commodity.  Commodity shares can shift while
-        the aggregate stays flat, so both kinds of lists are scanned."""
-        best = None
-        for es in self._edges:
-            for times in es.out_times + [es.agg_times]:
-                j = bisect_right(times, after + EPS)
-                if j < len(times) and (best is None or times[j] < best):
-                    best = times[j]
-        return best
+        the aggregate stays flat, so both kinds of lists are scanned, on the
+        edges that ever carried flow and for their commodities with inflow
+        (all other lists hold a single 0 at time 0)."""
+        best = math.inf
+        for eid in self._used:
+            es = self._edges[eid]
+            best = _first_after(es.agg_times, after, best)
+            for i in es.commodities:
+                best = _first_after(es.out_times[i], after, best)
+        return None if best == math.inf else best
 
     # ------------------------------------------------------------------ audit
 
@@ -299,6 +366,7 @@ class FlowOverTime:
         worst = {"queue_identity": 0.0, "queue_nonneg": 0.0,
                  "capacity": 0.0, "fifo": 0.0}
         for es in self._edges:
+            self._catch_up(es)
             e = es.edge
             cum_in = [self.inflow_fn(i, e.id).cumulative() for i in range(self.n_commodities)]
             cum_out = [self.outflow_fn(i, e.id).cumulative() for i in range(self.n_commodities)]
@@ -322,6 +390,13 @@ class FlowOverTime:
             if dev > tol:
                 raise AssertionError(f"flow invariant {name} violated by {dev}")
         return worst
+
+
+def _first_after(times, after, best):
+    """The smaller of ``best`` and the first of the sorted ``times`` past
+    ``after`` by more than EPS."""
+    j = bisect_right(times, after + EPS)
+    return times[j] if j < len(times) and times[j] < best else best
 
 
 def _pairwise(seq):

@@ -15,6 +15,7 @@ needed; no discretization error enters below the round level.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ from .predictors import (
 )
 from .pwl import EPS, linear_combination
 from .routing import LabelSet, compute_labels
+
+log = logging.getLogger(__name__)
 
 
 class StrandedFlowError(Exception):
@@ -133,6 +136,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             return ls
 
         t = round_start
+        sub_phases, advanced = 0, state.edges_advanced
         while t < round_end - EPS:
             b = min(round_end, t + tau_min)
             nxt = state.next_rate_change(t)
@@ -167,8 +171,11 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                         state.assign_inflow(i, eid, share, t, b)
 
             events.extend(state.advance(b))
+            sub_phases += 1
             t = b
 
+        log.debug("round %d at t=%g: %d sub-phases, %d edges advanced", k,
+                  round_start, sub_phases, state.edges_advanced - advanced)
         prev_active.update(record.active_queries)
         if record_rounds:
             rounds.append(record)
@@ -194,10 +201,10 @@ def _node_inflows(state, net, commodity, i, t):
     u = commodity.inflow(t)
     if u > EPS:
         rates[commodity.source] = u
-    for e in net.edges:
-        r = state.outflow_rate_at(i, e.id, t)
+    for eid, r in state.outflows_at(i, t):
         if r > EPS:
-            rates[e.head] = rates.get(e.head, 0.0) + r
+            head = net.edges[eid].head
+            rates[head] = rates.get(head, 0.0) + r
     return rates
 
 

@@ -140,6 +140,17 @@ def test_negative_rate_rejected():
         state.assign_inflow(0, 0, -1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("start, end", [
+    (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf),
+    (-math.inf, 1.0)])
+def test_non_finite_assignment_bounds_rejected(start, end):
+    state = FlowOverTime(one_edge_net(), 1)
+    with pytest.raises(ValueError):
+        state.assign_inflow(0, 0, 2.0, start, end)
+    state.advance(3.0)
+    assert state.inflow_fn(0, 0).values == (0.0,)
+
+
 def test_reassignment_at_same_time_overwrites():
     state = FlowOverTime(one_edge_net(), 1)
     state.assign_inflow(0, 0, 1.0, 0.0, 2.0)
@@ -160,6 +171,44 @@ def test_events_cover_saturation_and_depletion():
                      and e.commodity is None)
     assert changes[0] == pytest.approx(1.0)
     assert changes[-1] == pytest.approx(3.0)
+
+
+# ------------------------------------------------------------ dormant edges
+
+
+def test_edge_drains_sleeps_and_refills():
+    # a burst at rate 2 into capacity 1 queues up to 1 and drains by t=2;
+    # the outflow (rate 1 on [1, 3)) ends at 3, after which the edge is idle
+    state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
+    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    for t in (1.0, 2.0, 3.0):
+        state.advance(t)
+    assert state.edges_advanced == 3
+    for t in (4.0, 5.0, 6.5):
+        assert state.advance(t) == []
+    assert state.edges_advanced == 3
+    # the empty queue's flat last piece reaches the built horizon
+    q = state.queue_fn(0)
+    assert q.times == (0.0, 1.0, 2.0, 6.5)
+    assert q.values == (0.0, 1.0, 0.0, 0.0)
+
+    # the second burst wakes the edge at 6.5; its outflow starts at 6.5 + 1
+    state.assign_inflow(0, 0, 2.0, 6.5, 7.5)
+    events = []
+    for t in (7.5, 8.5, 10.0):
+        events += state.advance(t)
+    assert state.edges_advanced == 6
+    assert min(e.time for e in events if e.kind == "outflow_change") == 7.5
+    assert [e.time for e in events if e.kind == "queue_depleted"] == [8.5]
+    out = state.outflow_fn(0, 0)
+    assert out.times == (0.0, 1.0, 3.0, 7.5, 9.5)
+    assert out.values == (0.0, 1.0, 0.0, 1.0, 0.0)
+    assert state.aggregate_outflow_fn(0) == out
+    q = state.queue_fn(0)
+    assert q.times == (0.0, 1.0, 2.0, 6.5, 7.5, 8.5, 10.0)
+    assert q.values == (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert state.exit_time(0, 7.5) == 9.5
+    state.audit_flow()
 
 
 # ------------------------------------------------------------------- vs oracle

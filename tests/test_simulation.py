@@ -97,6 +97,62 @@ def test_two_routes_zero_predictor_splits_evenly():
     state.audit_flow()
 
 
+@pytest.mark.parametrize("kind", ["zero", "constant", "linear"])
+def test_idle_edges_are_not_advanced(kind, monkeypatch):
+    base = two_routes()
+    comms = tuple(Commodity(c.id, c.source, c.sink, c.inflow, {"kind": kind})
+                  for c in base.commodities)
+    base = dataclasses.replace(base, commodities=comms)
+    # edges that no flow can reach, appended so that original ids stay;
+    # transit times stay >= the shortest one, which bounds sub-phases
+    net = base.network
+    padded_net = Network(
+        list(net.nodes) + ["x", "y"],
+        [(e.tail, e.head, e.transit_time, e.capacity) for e in net.edges]
+        + [("x", "y", 1.0, 1.0), ("y", "s", 2.0, 1.0), ("x", "t", 1.5, 3.0)])
+    padded = dataclasses.replace(base, network=padded_net)
+
+    plain = run(base)
+    advanced = set()
+    advance_edge = simulation.FlowOverTime._advance_edge
+
+    def spy(self, es, *args):
+        advanced.add(es.edge.id)
+        return advance_edge(self, es, *args)
+
+    monkeypatch.setattr(simulation.FlowOverTime, "_advance_edge", spy)
+    result = run(padded)
+
+    assert compute_metrics(result).rows == compute_metrics(plain).rows
+    assert result.events == plain.events
+    for e in net.edges:
+        assert result.state.queue_fn(e.id) == plain.state.queue_fn(e.id)
+        assert (result.state.aggregate_outflow_fn(e.id)
+                == plain.state.aggregate_outflow_fn(e.id))
+        assert result.state.inflow_fn(0, e.id) == plain.state.inflow_fn(0, e.id)
+        assert (result.state.outflow_fn(0, e.id)
+                == plain.state.outflow_fn(0, e.id))
+    carrying = {e.id for e in padded_net.edges
+                if any(result.state.inflow_fn(0, e.id).values)}
+    assert advanced == carrying
+    assert carrying.isdisjoint({5, 6, 7})
+    result.state.audit_flow()
+
+
+def test_debug_log_reports_rounds_and_edges_advanced(caplog):
+    # a queue of 1 builds on [0, 1) and drains by 2; the outflow on [1, 3)
+    # keeps the edge live through round 2, after which nothing is advanced
+    net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
+    c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
+    scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
+                        horizon=5.0)
+    with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
+        run(scenario)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"round {k} at t={k}: 1 sub-phases, {int(k < 3)} edges advanced"
+        for k in range(5)]
+
+
 def test_two_routes_replay_reproduces_decisions():
     result = run(two_routes())
     assert audit_dpe(result) > 0
