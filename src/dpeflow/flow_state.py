@@ -28,7 +28,7 @@ commodities carry exact zeros, whose omission leaves every sum unchanged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .network import Network
@@ -337,6 +337,22 @@ class FlowOverTime:
             times = times + [self.built_until]
             values = values + [values[-1]]
         return PiecewiseLinearFn(tuple(times), tuple(values), 0.0, 0.0)
+
+    def queue_left_slope(self, edge: int, t: float) -> float:
+        """Left derivative of ``queue_fn(edge)`` at ``t``; past its last
+        breakpoint, the slope of its last piece.  Read off the queue
+        breakpoints without building the function."""
+        es = self._edges[edge]
+        self._catch_up(es)
+        times, values = es.q_times, es.q_values
+        if t > times[-1]:
+            if times[-1] < self.built_until - EPS:
+                return 0.0   # queue_fn's flat piece up to the built horizon
+            t = times[-1]
+        if t <= times[0]:
+            return 0.0
+        i = bisect_left(times, t) - 1
+        return (values[i + 1] - values[i]) / (times[i + 1] - times[i])
 
     def next_rate_change(self, after: float) -> float | None:
         """Earliest known outflow breakpoint strictly after ``after`` on any

@@ -54,8 +54,7 @@ class QueueHistory:
     def left_slope(self, edge_id: int) -> float:
         """Left derivative of the queue at the prediction time; past the
         last recorded breakpoint, the slope of the last piece."""
-        q_fn = self._state.queue_fn(edge_id)
-        return q_fn.left_slope(min(self.now, q_fn.times[-1]))
+        return self._state.queue_left_slope(edge_id, self.now)
 
     def in_edges(self, node: str):
         return self._state.network.in_edges[node]

@@ -178,10 +178,39 @@ def linear_combination(
     if not fns or len(fns) != len(coeffs):
         raise ValueError("need matching non-empty function and coefficient lists")
     grid = _merged_times([f.times for f in fns])
-    values = tuple(sum(c * f(t) for f, c in zip(fns, coeffs)) for t in grid)
+    values = tuple(sum(c * y for c, y in zip(coeffs, ys))
+                   for ys in zip(*(_sample(f, grid) for f in fns)))
     before = sum(c * f.slope_before_first for f, c in zip(fns, coeffs))
     after = sum(c * f.slope_after_last for f, c in zip(fns, coeffs))
     return prune(PiecewiseLinearFn(grid, values, before, after))
+
+
+def _sample(f: PiecewiseLinearFn, ts) -> list[float]:
+    """``[f(t) for t in ts]`` in one forward sweep over the breakpoints.
+
+    For sorted ``ts`` the piece under each point is found by advancing a
+    cursor; a point before the cursor's piece, such as a dip of an inner
+    function's values within EPS, is located by ``bisect``.  The arithmetic is
+    that of ``PiecewiseLinearFn.__call__``, so the values are bit-identical.
+    """
+    times, values = f.times, f.values
+    t0, v0, s0 = times[0], values[0], f.slope_before_first
+    tn, vn, sn = times[-1], values[-1], f.slope_after_last
+    out = []
+    i = 0    # times[i] <= t < times[i + 1] for interior t
+    for t in ts:
+        if t <= t0:
+            out.append(v0 + s0 * (t - t0))
+        elif t >= tn:
+            out.append(vn + sn * (t - tn))
+        else:
+            if times[i] > t:
+                i = bisect_right(times, t) - 1
+            while times[i + 1] <= t:
+                i += 1
+            w = (t - times[i]) / (times[i + 1] - times[i])
+            out.append(values[i] * (1.0 - w) + values[i + 1] * w)
+    return out
 
 
 def _distinct(pts) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -221,7 +250,7 @@ def compose_monotone(
 
     grid = _merged_times([inner.times]
                          + [_preimages(inner, y) for y in outer.times])
-    values = tuple(outer(inner(t)) for t in grid)
+    values = _sample(outer, _sample(inner, grid))
     # beyond the grid both factors sit on their boundary pieces (every outer
     # kink preimage is a grid candidate), so the chain rule is exact; a flat
     # inner tail zeroes the product whatever outer does
@@ -303,28 +332,27 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
     if len(fns) == 1:
         return fns[0]
     grid = _merged_times([f.times for f in fns])
+    # rows[k][j] is fns[j] at grid[k]
+    rows = list(zip(*(_sample(f, grid) for f in fns)))
     order = list(range(len(fns)))
     pts: list[tuple[float, float]] = []
 
     # left tail: mirror the axis and walk forward from the first grid point
-    g0 = grid[0]
-    anchors = [f(g0) for f in fns]
     mirrored, mslope = _envelope_forward(
-        anchors, [-f.slope_before_first for f in fns], order, -g0, math.inf)
+        rows[0], [-f.slope_before_first for f in fns], order, -grid[0],
+        math.inf)
     slope_before = -mslope
     for x, v in reversed(mirrored[1:]):
         pts.append((-x, v))
 
-    for a, b in zip(grid, grid[1:]):
-        anchors = [f(a) for f in fns]
-        slopes = [(f(b) - f(a)) / (b - a) for f in fns]
-        verts, _ = _envelope_forward(anchors, slopes, order, a, b)
+    for a, b, ya, yb in zip(grid, grid[1:], rows, rows[1:]):
+        slopes = [(vb - va) / (b - a) for va, vb in zip(ya, yb)]
+        verts, _ = _envelope_forward(ya, slopes, order, a, b)
         pts.extend(verts)
 
-    g1 = grid[-1]
-    anchors = [f(g1) for f in fns]
     verts, slope_after = _envelope_forward(
-        anchors, [f.slope_after_last for f in fns], order, g1, math.inf)
+        rows[-1], [f.slope_after_last for f in fns], order, grid[-1],
+        math.inf)
     pts.extend(verts)
 
     return _drop_redundant_ends(from_points(pts, slope_before, slope_after))

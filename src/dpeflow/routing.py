@@ -14,13 +14,22 @@ regression forecast keeps its last sample as a second breakpoint even when
 flat, so it always takes label correction.)  ``simulation.audit_ide`` keeps
 its own Bellman-Ford as the independent check of the Dijkstra labels.
 
-Every other forecast goes through backward label correcting over the
-function space: whenever a node's label improves, its in-neighbors are
-recomputed.  Predicted exit times always exceed the departure time by at
-least the transit time, so optimal arrivals are attained by simple paths.
-The FIFO queue processes nodes in Bellman-Ford passes, each popping a node
-at most once, and labels settle within |V| - 1 passes; a node popped more
-than |V| + 2 times signals a malformed exit-time function and aborts.
+Every other forecast goes through backward label correction over the
+function space (Dreyfus 1969; Orda and Rom 1990), in pull order: a FIFO
+queue holds the nodes whose label may be out of date, starting with the
+sink's in-neighbors.  Popping a node recomputes its label once, from the
+current labels of its out-neighbors; only if the label changed are its
+in-neighbors queued, each at most once at a time.  A node's candidate
+through an out-edge e = (v, w) is l_w composed with the exit time of e; it
+is kept per edge and recomposed only once l_w has been replaced, so a
+recomputation redoes only the edges whose heads changed.  Predicted exit
+times always exceed the departure time by at least the transit time, so
+optimal arrivals are attained by simple paths.  The FIFO queue processes
+nodes in Bellman-Ford passes, each popping a node at most once, and a node
+is popped after every change that queued it, in the same pass or the next.
+So a node whose best path has k edges holds its final label after pass k,
+labels settle within |V| - 1 passes, and a node popped more than |V| + 2
+times signals a malformed exit-time function and aborts.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .network import ACTIVE_TOLERANCE, Network
 from .pwl import (
     EPS,
     PiecewiseLinearFn,
+    _sample,
     compose_monotone,
     identity_fn,
     pointwise_min,
@@ -136,41 +146,49 @@ def _shift_labels(network, sink, shifts):
 def _corrected_labels(network, sink, exit_fns):
     """Backward label correction from ``sink`` under the given exit times."""
     labels: dict[str, PiecewiseLinearFn] = {sink: identity_fn()}
-    pending = deque([sink])
-    queued = {sink}
+    # edge id -> (head label, pruned composition with the edge's exit time)
+    composed: dict[int, tuple[PiecewiseLinearFn, PiecewiseLinearFn]] = {}
+    pending = deque()
+    queued = set()
+
+    def queue_tails(w):
+        for e in network.in_edges[w]:
+            if e.tail != sink and e.tail not in queued:
+                pending.append(e.tail)
+                queued.add(e.tail)
+
+    queue_tails(sink)
     pops = {v: 0 for v in network.nodes}
     pop_cap = len(network.nodes) + 2
 
     while pending:
-        w = pending.popleft()
-        queued.discard(w)
-        pops[w] += 1
-        if pops[w] > pop_cap:
+        v = pending.popleft()
+        queued.discard(v)
+        pops[v] += 1
+        if pops[v] > pop_cap:
             raise ConvergenceError(
-                f"label of {w!r} keeps improving; "
+                f"label of {v!r} keeps improving; "
                 "an exit-time function must be rewinding time")
-        for e in network.in_edges[w]:
-            v = e.tail
-            if v == sink:
-                continue
-            new = _best_label(network, v, labels, exit_fns)
-            old = labels.get(v)
-            if old is None or _labels_differ(old, new):
-                labels[v] = new
-                if v not in queued:
-                    pending.append(v)
-                    queued.add(v)
+        new = _best_label(network, v, labels, exit_fns, composed)
+        old = labels.get(v)
+        if old is None or _labels_differ(old, new):
+            labels[v] = new
+            queue_tails(v)
 
     return labels
 
 
-def _best_label(network, v, labels, exit_fns):
+def _best_label(network, v, labels, exit_fns, composed):
     candidates = []
     for e in network.out_edges[v]:
         head = labels.get(e.head)
         if head is None:
             continue
-        candidates.append(prune(compose_monotone(head, exit_fns[e.id])))
+        hit = composed.get(e.id)
+        if hit is None or hit[0] is not head:
+            hit = (head, prune(compose_monotone(head, exit_fns[e.id])))
+            composed[e.id] = hit
+        candidates.append(hit[1])
     return prune(pointwise_min(candidates))
 
 
@@ -184,4 +202,5 @@ def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn) -> bool:
     if (differ(a.slope_before_first, b.slope_before_first)
             or differ(a.slope_after_last, b.slope_after_last)):
         return True
-    return any(differ(a(t), b(t)) for t in a.times + b.times)
+    grid = sorted(a.times + b.times)
+    return any(map(differ, _sample(a, grid), _sample(b, grid)))

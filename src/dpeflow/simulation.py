@@ -174,8 +174,10 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             sub_phases += 1
             t = b
 
-        log.debug("round %d at t=%g: %d sub-phases, %d edges advanced", k,
-                  round_start, sub_phases, state.edges_advanced - advanced)
+        log.debug("round %d at t=%g: %d sub-phases, %d edges advanced, "
+                  "%d label sets, %d active queries", k, round_start,
+                  sub_phases, state.edges_advanced - advanced,
+                  len(label_cache), len(record.active_queries))
         prev_active.update(record.active_queries)
         if record_rounds:
             rounds.append(record)

@@ -211,6 +211,34 @@ def test_edge_drains_sleeps_and_refills():
     state.audit_flow()
 
 
+def test_queue_left_slope_matches_the_queue_function():
+    def slope_of_queue_fn(state, t):
+        q = state.queue_fn(0)
+        return q.left_slope(min(t, q.times[-1]))
+
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 6.5, 9.0]
+    # the queue rises at 1 on [0, 1) and drains at -1 on [1, 2); the edge is
+    # dormant from 3 on, so its slope is read after catching up to 6.5
+    state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
+    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    for t in (1.0, 2.0, 3.0, 6.5):
+        state.advance(t)
+    slopes = [state.queue_left_slope(0, t) for t in grid]
+    assert slopes == [0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0]
+    assert slopes == [slope_of_queue_fn(state, t) for t in grid]
+    # advances shorter than EPS move the built horizon without a breakpoint;
+    # past the last one, the queue function's flat piece up to the horizon
+    state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
+    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.advance(0.5)
+    for k in (1, 2, 3):
+        state.advance(0.5 + k * 0.9e-12)
+    assert state.queue_fn(0).times[-1] == state.built_until
+    slopes = [state.queue_left_slope(0, t) for t in grid]
+    assert slopes == [0.0, 1.0] + [0.0] * 6
+    assert slopes == [slope_of_queue_fn(state, t) for t in grid]
+
+
 # ------------------------------------------------------------------- vs oracle
 
 

@@ -36,6 +36,10 @@ class FakeState:
     def queue_fn(self, edge_id):
         return self._fns[edge_id]
 
+    def queue_left_slope(self, edge_id, t):
+        fn = self._fns[edge_id]
+        return fn.left_slope(min(t, fn.times[-1]))
+
 
 def pl(points, slope_after=0.0):
     ts, vs = zip(*points)

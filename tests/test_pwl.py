@@ -12,6 +12,7 @@ from dpeflow.pwl import (
     NotMonotoneError,
     PiecewiseLinearFn,
     RightConstantFn,
+    _sample,
     compose_monotone,
     constant_fn,
     identity_fn,
@@ -248,6 +249,31 @@ def test_property_min_is_lower_envelope(fns, t):
     m = pointwise_min(fns)
     expected = min(f(t) for f in fns)
     assert m(t) == pytest.approx(expected, abs=1e-7, rel=1e-7)
+
+
+@st.composite
+def sample_points(draw, times):
+    """Sorted points around ``times``: random ones beyond both ends and in
+    between, the breakpoints themselves, and after any point possibly a dip
+    back by at most EPS."""
+    lo, hi = times[0] - 5.0, times[-1] + 5.0
+    pts = [lo, hi] + draw(st.lists(st.floats(min_value=lo, max_value=hi),
+                                   max_size=20))
+    pts += draw(st.lists(st.sampled_from(times), max_size=len(times) + 2))
+    out = []
+    for t in sorted(pts):
+        out.append(t)
+        if draw(st.booleans()):
+            out.append(t - draw(st.floats(min_value=0.0, max_value=EPS)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_sample_is_bit_identical_to_calls(data):
+    f = data.draw(piecewise_linear())
+    ts = data.draw(sample_points(f.times))
+    assert [y.hex() for y in _sample(f, ts)] == [f(t).hex() for t in ts]
 
 
 @settings(max_examples=60, deadline=None)

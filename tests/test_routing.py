@@ -1,11 +1,19 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from dpeflow import routing
 from dpeflow.network import Network
 from dpeflow.predictors import fifo_fix
-from dpeflow.pwl import EPS, NotMonotoneError, PiecewiseLinearFn, identity_fn
+from dpeflow.pwl import (
+    EPS,
+    NotMonotoneError,
+    PiecewiseLinearFn,
+    compose_monotone,
+    identity_fn,
+)
 from dpeflow.routing import (
     ConvergenceError,
     LabelSet,
@@ -179,10 +187,32 @@ def test_shift_paths_agree_on_mixed_node_ids_and_ties():
         assert [e.id for e in ls.active_edges(v, 0.0)] == ids
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_labels_match_path_enumeration(seed):
+def with_extra_edges(rng, net, sink, extra):
+    """The instance with more random-exit-time edges: ``"parallel"`` doubles
+    every third edge and every edge into the sink, ``"through_sink"`` adds
+    an edge from the sink to every other node, so cycles run through it."""
+    edges = [(e.tail, e.head) for e in net.edges]
+    if extra == "parallel":
+        edges += [(a, b) for k, (a, b) in enumerate(edges)
+                  if k % 3 == 0 or b == sink]
+    else:
+        edges += [(sink, v) for v in net.nodes if v != sink]
+    net = Network(list(net.nodes), [(a, b, 1.0, 1.0) for a, b in edges])
+    return net, {e.id: random_exit_fn(rng) for e in net.edges}
+
+
+LABEL_INSTANCES = (
+    [pytest.param(seed, None, id=str(seed)) for seed in range(6)]
+    + [pytest.param(seed, extra, id=f"{extra}-{seed}")
+       for extra in ("parallel", "through_sink") for seed in range(3)])
+
+
+@pytest.mark.parametrize("seed, extra", LABEL_INSTANCES)
+def test_labels_match_path_enumeration(seed, extra):
     rng = np.random.default_rng(seed)
     net, exit_fns, sink = random_instance(rng, int(rng.integers(4, 9)))
+    if extra is not None:
+        net, exit_fns = with_extra_edges(rng, net, sink, extra)
     ls = compute_labels(net, sink, exit_fns)
     samples = rng.uniform(-2.0, 25.0, 100)
     for v in net.nodes:
@@ -193,6 +223,41 @@ def test_labels_match_path_enumeration(seed):
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_label_correction_redoes_only_what_changed(seed, monkeypatch):
+    # every pop recomputes one label, and an edge is composed again only
+    # after its head's label was replaced
+    rng = np.random.default_rng(seed)
+    net, exit_fns, sink = random_instance(rng, int(rng.integers(6, 10)))
+    assert _positive_shifts(exit_fns) is None
+    composed, pops, best = [], 0, 0
+
+    def compose(outer, inner):
+        composed.append((outer, inner))  # holding them keeps ids unique
+        return compose_monotone(outer, inner)
+
+    class CountingDeque(deque):
+        def popleft(self):
+            nonlocal pops
+            pops += 1
+            return super().popleft()
+
+    def best_label(*args):
+        nonlocal best
+        best += 1
+        return best_label_of(*args)
+
+    best_label_of = routing._best_label
+    monkeypatch.setattr(routing, "compose_monotone", compose)
+    monkeypatch.setattr(routing, "deque", CountingDeque)
+    monkeypatch.setattr(routing, "_best_label", best_label)
+    compute_labels(net, sink, exit_fns)
+    edge_of = {id(f): eid for eid, f in exit_fns.items()}
+    pairs = [(edge_of[id(inner)], id(outer)) for outer, inner in composed]
+    assert len(pairs) == len(set(pairs))
+    assert best == pops > 0
 
 
 # --------------------------------------------------------------- active edges

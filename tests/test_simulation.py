@@ -14,7 +14,7 @@ from dpeflow.network import (
     random_commodities,
 )
 from dpeflow import simulation
-from dpeflow.predictors import PredictorModeError
+from dpeflow.predictors import PredictorModeError, QueueHistory
 from dpeflow.pwl import RightConstantFn
 from dpeflow.simulation import (
     audit_dpe,
@@ -139,9 +139,29 @@ def test_idle_edges_are_not_advanced(kind, monkeypatch):
     result.state.audit_flow()
 
 
+def test_linear_forecasts_read_the_queue_function_slope(monkeypatch):
+    # every slope a live run reads off the queue breakpoints equals the left
+    # slope of the queue function built from them at that moment
+    read = QueueHistory.left_slope
+    seen = []
+
+    def checked(self, edge_id):
+        got = read(self, edge_id)
+        q = self._state.queue_fn(edge_id)
+        assert got == q.left_slope(min(self.now, q.times[-1]))
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(QueueHistory, "left_slope", checked)
+    run(sweep_variant(two_routes(), 7.0, "linear"))
+    assert min(seen) < 0.0 < max(seen)
+
+
 def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     # a queue of 1 builds on [0, 1) and drains by 2; the outflow on [1, 3)
-    # keeps the edge live through round 2, after which nothing is advanced
+    # keeps the edge live through round 2, after which nothing is advanced.
+    # Only round 0 has inflow at a node other than the sink, so it alone
+    # answers a query and computes a label set.
     net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
     c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
     scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
@@ -149,8 +169,16 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(scenario)
     assert [r.getMessage() for r in caplog.records] == [
-        f"round {k} at t={k}: 1 sub-phases, {int(k < 3)} edges advanced"
+        f"round {k} at t={k}: 1 sub-phases, {int(k < 3)} edges advanced, "
+        f"{int(k == 0)} label sets, {int(k == 0)} active queries"
         for k in range(5)]
+    # a second predictor spec toward the same sink needs its own label set
+    caplog.clear()
+    other = Commodity(1, "s", "t", block_inflow(2.0, 1.0), {"kind": "linear"})
+    with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
+        run(dataclasses.replace(scenario, commodities=(c, other)))
+    assert caplog.records[0].getMessage().endswith(
+        ", 2 label sets, 2 active queries")
 
 
 def test_two_routes_replay_reproduces_decisions():
