@@ -165,7 +165,8 @@ class FlowOverTime:
         if until < self.built_until - EPS:
             raise ValueError(f"cannot advance backwards to {until}")
         if until <= self.built_until + EPS:
-            self.built_until = max(self.built_until, until)
+            # the horizon moves only with the live edges, or it would run
+            # ahead of their queue breakpoints
             return []
         events = []
         t0, t1 = self.built_until, until

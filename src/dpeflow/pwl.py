@@ -6,8 +6,9 @@ right-continuous step functions (flow rates).  Piecewise-linear functions are
 total on the real line, extrapolating by their boundary slopes; step functions
 start at their first breakpoint and extend their last value forever.
 
-Instances are immutable and safe to share between threads; every operation
-returns a new object.
+Instances are immutable and safe to share between threads and callers:
+operations never modify their inputs, and ``constant_fn(0.0)`` is one shared
+instance.
 
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
@@ -43,6 +44,10 @@ def _check_breakpoints(times, values):
     for a, b in zip(times, times[1:]):
         if not b > a:
             raise ValueError(f"breakpoint times must be strictly increasing, got {a} then {b}")
+    # strictly increasing times lie between the first and the last
+    for t in (times[0], times[-1]):
+        if not math.isfinite(t):
+            raise ValueError(f"non-finite breakpoint time {t!r}")
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"non-finite breakpoint value {v!r}")
@@ -167,7 +172,15 @@ def identity_fn() -> PiecewiseLinearFn:
     return PiecewiseLinearFn((0.0,), (0.0,), 1.0, 1.0)
 
 
+_ZERO = PiecewiseLinearFn((0.0,), (0.0,), 0.0, 0.0)
+
+
 def constant_fn(value: float) -> PiecewiseLinearFn:
+    """The function t -> value.  For +0.0 this is one shared instance, so
+    an empty forecast allocates nothing and is recognised by identity; a
+    -0.0 gets its own, keeping its sign bit."""
+    if value == 0.0 and math.copysign(1.0, value) > 0.0:
+        return _ZERO
     return PiecewiseLinearFn((0.0,), (value,), 0.0, 0.0)
 
 

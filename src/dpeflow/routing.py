@@ -11,8 +11,11 @@ forecast is flat, predict exit times t + c_e with c_e > 0.  Then every label
 is t + dist(v), where dist is the static shortest-path distance to the sink
 on the costs c_e, and one Dijkstra from the sink gives all labels.  (A
 regression forecast keeps its last sample as a second breakpoint even when
-flat, so it always takes label correction.)  ``simulation.audit_ide`` keeps
-its own Bellman-Ford as the independent check of the Dijkstra labels.
+flat, so it always takes label correction.)  The label set then holds the
+distances, and a node's label function is built on its first lookup and
+kept: a round asks ``active_edges`` at a few nodes, each reading its own
+label and its heads'.  ``simulation.audit_ide`` keeps its own Bellman-Ford
+as the independent check of the Dijkstra labels.
 
 Every other forecast goes through backward label correction over the
 function space (Dreyfus 1969; Orda and Rom 1990), in pull order: a FIFO
@@ -37,6 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import count
 
@@ -62,7 +66,7 @@ class LabelSet:
 
     network: Network
     sink: str
-    labels: dict[str, PiecewiseLinearFn]
+    labels: Mapping[str, PiecewiseLinearFn]
     exit_fns: dict[int, PiecewiseLinearFn]
     active_tolerance: float = ACTIVE_TOLERANCE
 
@@ -138,9 +142,46 @@ def _shift_labels(network, sink, shifts):
             if nd < dist.get(e.tail, math.inf):
                 dist[e.tail] = nd
                 heapq.heappush(heap, (nd, next(tie), e.tail))
-    # at the sink this is identity_fn()
-    return {v: PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
-            for v, d in dist.items()}
+    return _ShiftLabels(dist)
+
+
+class _ShiftLabels(Mapping):
+    """Read-only node -> label t + dist(v) over Dijkstra distances.
+
+    A node's label is built on its first lookup and kept; a round queries
+    only a few nodes and their heads.  At the sink it is ``identity_fn()``.
+    """
+
+    __slots__ = ("_dist", "_built")
+
+    def __init__(self, dist: dict[str, float]):
+        self._dist = dist
+        self._built: dict[str, PiecewiseLinearFn] = {}
+
+    def get(self, v, default=None):
+        # overridden: Mapping.get goes through __getitem__ and KeyError
+        label = self._built.get(v)
+        if label is None:
+            d = self._dist.get(v)
+            if d is None:
+                return default
+            label = self._built[v] = PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
+        return label
+
+    def __getitem__(self, v):
+        label = self.get(v)
+        if label is None:
+            raise KeyError(v)
+        return label
+
+    def __contains__(self, v):
+        return v in self._dist
+
+    def __iter__(self):
+        return iter(self._dist)
+
+    def __len__(self):
+        return len(self._dist)
 
 
 def _corrected_labels(network, sink, exit_fns):

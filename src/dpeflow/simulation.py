@@ -10,6 +10,18 @@ every commodity is split equally over its active out-edges.
 Sub-phase boundaries never overrun the shortest transit time, so every rate
 change that could affect a decision is already materialized when it is
 needed; no discretization error enters below the round level.
+
+Forecasts are made for every edge in each round that needs labels, but a
+run remembers, per predictor spec, each edge's last forecast and exit-time
+function, and rebuilds the exit function only when the predictor returned
+a different object.  It holds the forecast weakly: a forecast nobody else
+keeps, such as a linear extrapolation anchored at the round start, cannot
+recur, and keeping it and its exit function for a round would only raise
+peak memory.  The zero forecast is one shared object, so an idle
+edge under the zero, constant or threshold predictor costs a forecast call
+and a lookup per round.  Skipping the forecasts of idle edges as well would
+need ``perfbench/test_trace.py`` changed, which expects the number of
+forecasts to be a multiple of the edge count.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -101,6 +114,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                   for c in comms]
     # forecasts are shared per predictor spec, labels per (spec, sink)
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
+    # spec key -> edge id -> (weak ref to last forecast, its exit function)
+    exit_memos: dict[str, dict] = {key: {} for key in spec_keys}
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -121,14 +136,18 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         history = QueueHistory(state, round_start)
         label_cache: dict[tuple[str, str], LabelSet] = {}
         exit_cache: dict[str, dict] = {}
+        exit_built = 0
 
         def labels_for(i: int) -> LabelSet:
+            nonlocal exit_built
             spec_key, sink = spec_keys[i], comms[i].sink
             ls = label_cache.get((spec_key, sink))
             if ls is None:
                 exit_fns = exit_cache.get(spec_key)
                 if exit_fns is None:
-                    exit_fns = _exit_fns(predictors[i], history, net)
+                    exit_fns, built = _exit_fns(predictors[i], history, net,
+                                                exit_memos[spec_key])
+                    exit_built += built
                     exit_cache[spec_key] = exit_fns
                 ls = compute_labels(net, sink, exit_fns,
                                     scenario.active_tolerance)
@@ -175,9 +194,9 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             t = b
 
         log.debug("round %d at t=%g: %d sub-phases, %d edges advanced, "
-                  "%d label sets, %d active queries", k, round_start,
-                  sub_phases, state.edges_advanced - advanced,
-                  len(label_cache), len(record.active_queries))
+                  "%d exit functions built, %d label sets, %d active queries",
+                  k, round_start, sub_phases, state.edges_advanced - advanced,
+                  exit_built, len(label_cache), len(record.active_queries))
         prev_active.update(record.active_queries)
         if record_rounds:
             rounds.append(record)
@@ -190,11 +209,32 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
     return RunResult(scenario, state, rounds, events)
 
 
-def _exit_fns(predictor, history, net):
-    """Predicted exit-time function of every edge under one predictor."""
-    return {e.id: exit_time_fn(predictor.predict(history, e.id),
-                               e.transit_time, e.capacity)
-            for e in net.edges}
+def _exit_fns(predictor, history, net, memo):
+    """Predicted exit-time function of every edge under one predictor, and
+    how many of them were built.
+
+    ``memo`` maps an edge id to a weak reference to its last forecast and
+    that forecast's exit function, and is updated.  An edge whose forecast
+    is the very object it was last time keeps its exit function.  A dead
+    reference matches nothing, so a reused id cannot fool the check.  A
+    forecast that nothing else holds once the edge is done cannot be
+    returned again, so its entry is dropped rather than kept for a round.
+    """
+    exit_fns = {}
+    built = []
+    for e in net.edges:
+        predicted = predictor.predict(history, e.id)
+        hit = memo.get(e.id)
+        if hit is None or hit[0]() is not predicted.fn:
+            hit = memo[e.id] = (weakref.ref(predicted.fn), exit_time_fn(
+                predicted, e.transit_time, e.capacity))
+            built.append(e.id)
+        exit_fns[e.id] = hit[1]
+    predicted = None   # so that the last edge's forecast, too, may die
+    for eid in built:
+        if memo[eid][0]() is None:
+            del memo[eid]
+    return exit_fns, len(built)
 
 
 def _node_inflows(state, net, commodity, i, t):
@@ -268,8 +308,10 @@ def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
         for (i, v), live_ids in sorted(record.active_queries.items()):
             ls = by_commodity.get(i)
             if ls is None:
-                ls = compute_labels(net, comms[i].sink,
-                                    _exit_fns(predictors[i], history, net),
+                # a fresh memo builds every exit function anew, so the
+                # replay does not trust the live run's memo
+                exit_fns, _ = _exit_fns(predictors[i], history, net, {})
+                ls = compute_labels(net, comms[i].sink, exit_fns,
                                     scenario.active_tolerance)
                 by_commodity[i] = ls
             replay_ids = tuple(e.id for e in ls.active_edges(v, record.time))

@@ -82,6 +82,18 @@ def test_infinite_horizon_is_an_input_error(scenario_file, tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_inflow_time_is_an_input_error(scenario_file, tmp_path,
+                                                  capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["inflow"] = {"times": [-math.inf, 5.0],
+                                       "rates": [1.0, 0.0]}
+    scenario_file.write_text(json.dumps(doc))  # writes -Infinity
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert "non-finite breakpoint time -inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_csv(scenario_file, tmp_path):
     out = tmp_path / "out"
     code = main(["sweep", "--scenario", str(scenario_file), "--out", str(out),

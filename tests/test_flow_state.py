@@ -226,8 +226,8 @@ def test_queue_left_slope_matches_the_queue_function():
     slopes = [state.queue_left_slope(0, t) for t in grid]
     assert slopes == [0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0]
     assert slopes == [slope_of_queue_fn(state, t) for t in grid]
-    # advances shorter than EPS move the built horizon without a breakpoint;
-    # past the last one, the queue function's flat piece up to the horizon
+    # advances shorter than EPS leave the built horizon at the last queue
+    # breakpoint, so past it both readers extend the rising piece
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
     state.advance(0.5)
@@ -235,7 +235,7 @@ def test_queue_left_slope_matches_the_queue_function():
         state.advance(0.5 + k * 0.9e-12)
     assert state.queue_fn(0).times[-1] == state.built_until
     slopes = [state.queue_left_slope(0, t) for t in grid]
-    assert slopes == [0.0, 1.0] + [0.0] * 6
+    assert slopes == [0.0] + [1.0] * 7
     assert slopes == [slope_of_queue_fn(state, t) for t in grid]
 
 

@@ -44,6 +44,26 @@ def test_non_finite_value_rejected():
         PiecewiseLinearFn((0.0,), (0.0,), slope_after_last=math.inf)
 
 
+def test_non_finite_time_rejected():
+    for times in ((math.inf,), (-math.inf, 5.0), (0.0, math.inf),
+                  (math.nan,)):
+        values = (0.0,) * len(times)
+        for cls in (PiecewiseLinearFn, RightConstantFn):
+            with pytest.raises(ValueError, match="non-finite breakpoint time"):
+                cls(times, values)
+
+
+def test_zero_constant_is_shared_and_keeps_its_sign():
+    assert constant_fn(0.0) is constant_fn(0.0)
+    assert constant_fn(0) is constant_fn(0.0)
+    assert constant_fn(0.0) == PiecewiseLinearFn((0.0,), (0.0,))
+    neg = constant_fn(-0.0)
+    assert neg is not constant_fn(0.0)
+    assert math.copysign(1.0, neg.values[0]) == -1.0
+    assert math.copysign(1.0, constant_fn(0.0).values[0]) == 1.0
+    assert constant_fn(2.5) is not constant_fn(2.5)
+
+
 # ----------------------------------------------------------------------- eval
 
 

@@ -187,6 +187,75 @@ def test_shift_paths_agree_on_mixed_node_ids_and_ties():
         assert [e.id for e in ls.active_edges(v, 0.0)] == ids
 
 
+def dyadic_shift_instance(seed):
+    """A random shift-only instance whose path costs add up exactly, so any
+    shortest-path search finds the same distances bit for bit; node "u" is
+    reachable only from the sink."""
+    rng = np.random.default_rng(seed)
+    net, _, sink = random_instance(rng, int(rng.integers(6, 12)))
+    net = Network(list(net.nodes) + ["u"],
+                  [(e.tail, e.head, 1.0, 1.0) for e in net.edges]
+                  + [(sink, "u", 1.0, 1.0)])
+    costs = {e.id: int(rng.integers(1, 32)) / 8 for e in net.edges}
+    return net, sink, {eid: shift(c) for eid, c in costs.items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shift_labels_match_eager_labels_and_act_like_a_dict(seed):
+    net, sink, exit_fns = dyadic_shift_instance(seed)
+    ls = compute_labels(net, sink, exit_fns)
+    dist = {sink: 0.0}
+    for _ in net.nodes:
+        for e in net.edges:
+            if e.head in dist:
+                d = dist[e.head] + exit_fns[e.id].values[0]
+                if d < dist.get(e.tail, math.inf):
+                    dist[e.tail] = d
+    eager = {v: PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
+             for v, d in dist.items()}
+
+    def hexed(f):
+        return [float.hex(x) for x in (*f.times, *f.values,
+                                       f.slope_before_first,
+                                       f.slope_after_last)]
+
+    for v in net.nodes:
+        assert (v in ls.labels) == (v in eager) == (v != "u")
+        if v in eager:
+            assert hexed(ls.labels[v]) == hexed(eager[v])
+            assert ls.labels.get(v) is ls.labels[v]
+    assert set(ls.labels.keys()) == set(eager) and len(ls.labels) == len(eager)
+    assert dict(ls.labels) == eager
+    assert ls.labels.get("u") is None and ls.labels.get("u", 7) == 7
+    with pytest.raises(KeyError):
+        ls.labels["u"]
+    with pytest.raises(TypeError):
+        ls.labels["u"] = eager[sink]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_active_edges_builds_only_the_labels_it_reads(seed, monkeypatch):
+    net, sink, exit_fns = dyadic_shift_instance(seed)
+    v = net.nodes[0]
+    read = {v} | {e.head for e in net.out_edges[v]}
+    assert len(read) < len(net.nodes) - 1
+    built = []
+    post_init = PiecewiseLinearFn.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PiecewiseLinearFn, "__post_init__", counted)
+    ls = compute_labels(net, sink, exit_fns)
+    ls.active_edges(v, 2.0)
+    assert len(built) == len(read)
+    ls.active_edges(v, 3.0)
+    for w in read:
+        ls.earliest_arrival(w, 1.0)
+    assert len(built) == len(read)
+
+
 def with_extra_edges(rng, net, sink, extra):
     """The instance with more random-exit-time edges: ``"parallel"`` doubles
     every third edge and every edge into the sink, ``"through_sink"`` adds

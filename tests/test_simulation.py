@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,13 @@ from dpeflow.network import (
     random_commodities,
 )
 from dpeflow import simulation
-from dpeflow.predictors import PredictorModeError, QueueHistory
+from dpeflow.flow_state import FlowOverTime
+from dpeflow.predictors import (
+    LinearPredictor,
+    PredictorModeError,
+    QueueHistory,
+    ZeroPredictor,
+)
 from dpeflow.pwl import RightConstantFn
 from dpeflow.simulation import (
     audit_dpe,
@@ -161,7 +168,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     # a queue of 1 builds on [0, 1) and drains by 2; the outflow on [1, 3)
     # keeps the edge live through round 2, after which nothing is advanced.
     # Only round 0 has inflow at a node other than the sink, so it alone
-    # answers a query and computes a label set.
+    # answers a query, builds the exit functions of both edges and computes
+    # a label set.
     net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
     c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
     scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
@@ -170,15 +178,82 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
         run(scenario)
     assert [r.getMessage() for r in caplog.records] == [
         f"round {k} at t={k}: 1 sub-phases, {int(k < 3)} edges advanced, "
+        f"{2 * int(k == 0)} exit functions built, "
         f"{int(k == 0)} label sets, {int(k == 0)} active queries"
         for k in range(5)]
-    # a second predictor spec toward the same sink needs its own label set
+    # a second predictor spec toward the same sink needs its own exit
+    # functions and label set
     caplog.clear()
     other = Commodity(1, "s", "t", block_inflow(2.0, 1.0), {"kind": "linear"})
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(dataclasses.replace(scenario, commodities=(c, other)))
     assert caplog.records[0].getMessage().endswith(
-        ", 2 label sets, 2 active queries")
+        ", 4 exit functions built, 2 label sets, 2 active queries")
+    # with inflow until 3, the constant forecast of the queued edge changes
+    # in rounds 1 and 2; the idle edge keeps its exit function
+    caplog.clear()
+    busy = Commodity(0, "s", "t", block_inflow(2.0, 3.0), {"kind": "constant"})
+    with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
+        run(dataclasses.replace(scenario, commodities=(busy,)))
+    assert [r.getMessage().split(", ")[2] for r in caplog.records] == [
+        f"{n} exit functions built" for n in (2, 1, 1, 0, 0)]
+
+
+def padded_two_routes(kind):
+    """The two-route scenario under one predictor, plus a chain of edges
+    that flow never reaches."""
+    base = two_routes()
+    pad = [f"x{k}" for k in range(4)]
+    net = Network(
+        list(base.network.nodes) + pad,
+        [(e.tail, e.head, e.transit_time, e.capacity)
+         for e in base.network.edges]
+        + [(a, b, 1.0, 1.0) for a, b in zip(pad, pad[1:])])
+    return dataclasses.replace(sweep_variant(base, 2.0, kind), network=net)
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant"])
+def test_exit_functions_are_built_once_per_idle_edge(kind, monkeypatch):
+    scenario = padded_two_routes(kind)
+    built = Counter()
+    original = simulation.exit_time_fn
+
+    def counted(predicted, transit_time, capacity):
+        built[predicted.edge_id] += 1
+        return original(predicted, transit_time, capacity)
+
+    monkeypatch.setattr(simulation, "exit_time_fn", counted)
+    result = run(scenario)
+    n_base = len(two_routes().network.edges)
+    idle = [e.id for e in scenario.network.edges
+            if kind == "zero" or e.id >= n_base]
+    assert len(result.rounds) > 1
+    assert [built[eid] for eid in idle] == [1] * len(idle)
+    assert set(built) == {e.id for e in scenario.network.edges}
+    # the audit builds its own exit functions and reaches the same decisions
+    built.clear()
+    assert audit_dpe(result, max_rounds=20) > 0
+    assert built[idle[0]] == sum(1 for r in result.rounds[:20]
+                                 if r.active_queries)
+
+
+def test_exit_fn_memo_keeps_only_forecasts_that_can_recur():
+    # the zero forecast is one shared object, so its entries stay and the
+    # second round builds nothing; a linear forecast is anchored at the
+    # round start, so nothing else holds it and its entry goes with it
+    net = padded_two_routes("zero").network
+    state = FlowOverTime(net, 1)
+    for predictor, kept in ((ZeroPredictor(), len(net.edges)),
+                            (LinearPredictor(), 0)):
+        memo = {}
+        for now in (0.0, 1.0):
+            history = QueueHistory(state, now)
+            fns, built = simulation._exit_fns(predictor, history, net, memo)
+            assert fns == {e.id: simulation.exit_time_fn(
+                predictor.predict(history, e.id), e.transit_time, e.capacity)
+                for e in net.edges}
+        assert built == len(net.edges) - kept
+        assert len(memo) == kept
 
 
 def test_two_routes_replay_reproduces_decisions():
