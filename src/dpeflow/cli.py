@@ -153,7 +153,13 @@ def _load(args) -> Scenario:
     specs = getattr(args, "predictor_overrides", None)
     commodities = scenario.commodities
     if specs:
-        table = json.loads(specs)
+        try:
+            table = json.loads(specs)
+        except ValueError as exc:
+            raise ValueError(f"bad --predictor-overrides: {exc}") from None
+        if not isinstance(table, dict):
+            raise ValueError(f"bad --predictor-overrides {specs}; expected a "
+                             "JSON object")
         commodities = tuple(
             Commodity(c.id, c.source, c.sink, c.inflow,
                       table.get(str(c.id), table.get("*", c.predictor_spec)))
@@ -202,10 +208,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load(args)
-    lo, hi, n = args.grid.split(":")
-    lo, hi, n = float(lo), float(hi), int(n)
-    if n < 1 or hi < lo:
-        raise ValueError(f"bad grid {args.grid!r}; expected LO:HI:N")
+    bad = ValueError(f"bad grid {args.grid!r}; expected LO:HI:N")
+    try:
+        lo, hi, n = args.grid.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise bad from None
+    if n < 1 or not lo <= hi:
+        raise bad
     totals = [lo + (hi - lo) * k / (n - 1) for k in range(n)] if n > 1 else [lo]
     kinds = [k.strip() for k in args.predictors.split(",") if k.strip()]
     rows = run_sweep(scenario, totals, kinds, jobs=args.jobs)

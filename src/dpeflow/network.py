@@ -157,6 +157,7 @@ class Scenario:
 
     def _check_commodity(self, c: Commodity):
         name = f"commodity {c.id}"
+        _check_predictor_spec(c.predictor_spec, name)
         if c.source == c.sink:
             raise ValidationError(f"{name}: source equals sink ({c.source!r})")
         if c.source not in self.network.node_index:
@@ -174,6 +175,12 @@ class Scenario:
         if c.inflow.times[-1] > self.horizon:
             raise ValidationError(
                 f"{name}: inflow support extends past the horizon")
+
+
+def _check_predictor_spec(spec, where: str):
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where}: predictor must be an object like "
+                              f'{{"kind": "linear"}}, got {spec!r}')
 
 
 def block_inflow(rate: float, until: float) -> RightConstantFn:
@@ -223,12 +230,14 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         for key in ("source", "sink", "inflow"):
             if key not in c:
                 raise ParseError(f"commodity {i}: missing field {key!r}")
+        spec = c.get("predictor", {"kind": "constant"})
+        _check_predictor_spec(spec, f"commodity {i}")
         commodities.append(Commodity(
             id=i,
             source=c["source"],
             sink=c["sink"],
             inflow=_inflow_from_dict(c["inflow"], where=f"commodity {i}"),
-            predictor_spec=dict(c.get("predictor", {"kind": "constant"})),
+            predictor_spec=dict(spec),
         ))
 
     pp = doc.get("predictor_params", {})
@@ -349,11 +358,9 @@ def import_tntp(path: str | Path, *, time_scale: float = 1.0,
             raise ValidationError(
                 f"{path}:{lineno}: edge {tail}->{head} free-flow time must be > 0 after scaling")
         edges.append((tail, head, fft, capacity))
-    nodes = list(range(1, n_nodes + 1)) if n_nodes else []
-    for t, h, *_ in edges:
-        if t not in nodes or h not in nodes:
-            nodes = sorted(set(nodes) | {t for t, *_ in edges} | {h for _, h, *_ in edges})
-            break
+    # the declared nodes 1..n, isolated ones included, and every endpoint
+    nodes = sorted(set(range(1, (n_nodes or 0) + 1)).union(
+        *((t, h) for t, h, *_ in edges)))
     return Network(nodes, edges)
 
 

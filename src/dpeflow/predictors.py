@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .pwl import (
     EPS,
@@ -63,8 +64,7 @@ class QueueHistory:
         return self._state.network.edges[edge_id]
 
 
-@dataclass(frozen=True)
-class PredictedQueue:
+class PredictedQueue(NamedTuple):
     """A queue forecast for one edge, valid from the prediction time on."""
 
     edge_id: int
@@ -304,7 +304,8 @@ class RegressionModel:
             return self.coefficients[edge_id]
         if -1 in self.coefficients:
             return self.coefficients[-1]
-        raise KeyError(f"no coefficients for edge {edge_id}")
+        raise ValueError(f"regression model has no coefficients for edge "
+                         f"{edge_id} and no shared set (key -1)")
 
     def features(self, history: QueueHistory, edge_id: int) -> list[float]:
         now = history.now
@@ -340,7 +341,19 @@ class RegressionModel:
             payload = json.load(fh)
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        return cls(
+        for key, low in (("lags", 1), ("samples", 1),
+                         ("neighborhood_radius", 0)):
+            value = payload.get(key)
+            if not isinstance(value, int) or value < low:
+                raise ValueError(
+                    f"{path}: {key} must be an integer >= {low}, got {value!r}")
+        step = payload.get("sample_step")
+        if not (_finite_number(step) and step > 0):
+            raise ValueError(
+                f"{path}: sample_step must be finite and > 0, got {step!r}")
+        if not isinstance(payload.get("coefficients"), dict):
+            raise ValueError(f"{path}: coefficients must be an object")
+        model = cls(
             lags=payload["lags"],
             samples=payload["samples"],
             sample_step=payload["sample_step"],
@@ -349,6 +362,17 @@ class RegressionModel:
             scores={int(k): v for k, v in payload.get("scores", {}).items()},
             seed=payload.get("seed", 0),
         )
+        width = 1 + (1 + model.neighborhood_radius) * model.lags
+        for key, rows in model.coefficients.items():
+            if not (isinstance(rows, list) and len(rows) == model.samples
+                    and all(isinstance(row, list) and len(row) == width
+                            and all(_finite_number(x) for x in row)
+                            for row in rows)):
+                raise ValueError(
+                    f"{path}: coefficients of edge {key} must be {model.samples} "
+                    f"rows of {width} finite numbers (samples rows of 1 + "
+                    "(1 + neighborhood_radius) * lags)")
+        return model
 
     @classmethod
     def copy_last_value(cls, samples: int, sample_step: float, lags: int = 2,
@@ -359,6 +383,10 @@ class RegressionModel:
         row[1] = 1.0  # weight on the edge's own queue one lag back
         return cls(lags, samples, sample_step, neighborhood_radius,
                    {-1: [list(row) for _ in range(samples)]})
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def _sample(fn, ts):

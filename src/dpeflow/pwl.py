@@ -7,8 +7,9 @@ total on the real line, extrapolating by their boundary slopes; step functions
 start at their first breakpoint and extend their last value forever.
 
 Instances are immutable and safe to share between threads and callers:
-operations never modify their inputs, and ``constant_fn(0.0)`` is one shared
-instance.
+operations never modify their inputs, and :func:`from_points` returns one
+shared instance for every flat +0.0 function, so an empty forecast is
+recognised by identity.
 
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
@@ -176,12 +177,9 @@ _ZERO = PiecewiseLinearFn((0.0,), (0.0,), 0.0, 0.0)
 
 
 def constant_fn(value: float) -> PiecewiseLinearFn:
-    """The function t -> value.  For +0.0 this is one shared instance, so
-    an empty forecast allocates nothing and is recognised by identity; a
-    -0.0 gets its own, keeping its sign bit."""
-    if value == 0.0 and math.copysign(1.0, value) > 0.0:
-        return _ZERO
-    return PiecewiseLinearFn((0.0,), (value,), 0.0, 0.0)
+    """The function t -> value; for +0.0 the shared zero (see
+    :func:`from_points`)."""
+    return from_points([(0.0, value)])
 
 
 def linear_combination(
@@ -244,7 +242,14 @@ def _merged_times(time_lists) -> tuple[float, ...]:
 
 def from_points(pts, slope_before: float = 0.0,
                 slope_after: float = 0.0) -> PiecewiseLinearFn:
-    """The pruned PL function through (t, v) points sorted by t."""
+    """The pruned PL function through a list of (t, v) points sorted by t;
+    the shared zero when every value is +0.0 and both slopes are 0."""
+    if pts and not (slope_before or slope_after):
+        for _, v in pts:
+            if v or math.copysign(1.0, v) < 0.0:
+                break
+        else:
+            return _ZERO
     times, values = _distinct(pts)
     return prune(PiecewiseLinearFn(times, values, slope_before, slope_after))
 

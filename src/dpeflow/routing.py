@@ -6,16 +6,16 @@ the recursion l_v = min over out-edges e = (v, w) of l_w composed with the
 exit time of e, with the sink fixed at the identity.
 
 Shift-only forecasts need no function algebra.  The zero, constant and
-threshold predictors, and the linear and reg_linear predictors whenever their
-forecast is flat, predict exit times t + c_e with c_e > 0.  Then every label
-is t + dist(v), where dist is the static shortest-path distance to the sink
-on the costs c_e, and one Dijkstra from the sink gives all labels.  (A
-regression forecast keeps its last sample as a second breakpoint even when
-flat, so it always takes label correction.)  The label set then holds the
-distances, and a node's label function is built on its first lookup and
-kept: a round asks ``active_edges`` at a few nodes, each reading its own
-label and its heads'.  ``simulation.audit_ide`` keeps its own Bellman-Ford
-as the independent check of the Dijkstra labels.
+threshold predictors, the linear and reg_linear predictors whenever their
+forecast is flat, and every live predictor for an edge forecast to stay
+empty (the shared ``constant_fn(0.0)``), predict exit times t + c_e with
+c_e > 0.  Then every label is t + dist(v), where dist is the static
+shortest-path distance to the sink on the costs c_e, and one Dijkstra from
+the sink gives all labels.  The label set then holds the distances, and a
+node's label function is built on its first lookup and kept: a round asks
+``active_edges`` at a few nodes, each reading its own label and its heads'.
+``simulation.audit_ide`` keeps its own Bellman-Ford as the independent
+check of the Dijkstra labels.
 
 Every other forecast goes through backward label correction over the
 function space (Dreyfus 1969; Orda and Rom 1990), in pull order: a FIFO

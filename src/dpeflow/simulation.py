@@ -11,17 +11,14 @@ Sub-phase boundaries never overrun the shortest transit time, so every rate
 change that could affect a decision is already materialized when it is
 needed; no discretization error enters below the round level.
 
-Forecasts are made for every edge in each round that needs labels, but a
-run remembers, per predictor spec, each edge's last forecast and exit-time
-function, and rebuilds the exit function only when the predictor returned
-a different object.  It holds the forecast weakly: a forecast nobody else
-keeps, such as a linear extrapolation anchored at the round start, cannot
-recur, and keeping it and its exit function for a round would only raise
-peak memory.  The zero forecast is one shared object, so an idle
-edge under the zero, constant or threshold predictor costs a forecast call
-and a lookup per round.  Skipping the forecasts of idle edges as well would
-need ``perfbench/test_trace.py`` changed, which expects the number of
-forecasts to be a multiple of the edge count.
+Forecasts are made for every edge in each round that needs labels.  Every
+predictor forecasts an edge that stays empty as the shared zero
+``constant_fn(0.0)``, whose exit time t + transit time depends on the edge
+alone; a run builds that free-flow exit function once per edge and shares
+it between all predictor specs, so an idle edge costs a forecast call and a
+lookup per round.  Skipping the forecasts of idle edges as well would need
+``perfbench/test_trace.py`` changed, which expects the number of forecasts
+to be a multiple of the edge count.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -41,7 +37,7 @@ from .predictors import (
     build_predictor,
     exit_time_fn,
 )
-from .pwl import EPS, linear_combination
+from .pwl import EPS, PiecewiseLinearFn, constant_fn, linear_combination
 from .routing import LabelSet, compute_labels
 
 log = logging.getLogger(__name__)
@@ -114,8 +110,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                   for c in comms]
     # forecasts are shared per predictor spec, labels per (spec, sink)
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
-    # spec key -> edge id -> (weak ref to last forecast, its exit function)
-    exit_memos: dict[str, dict] = {key: {} for key in spec_keys}
+    # edge id -> exit function of an empty forecast, for every spec
+    free_flow: dict[int, PiecewiseLinearFn] = {}
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -146,7 +142,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                 exit_fns = exit_cache.get(spec_key)
                 if exit_fns is None:
                     exit_fns, built = _exit_fns(predictors[i], history, net,
-                                                exit_memos[spec_key])
+                                                free_flow)
                     exit_built += built
                     exit_cache[spec_key] = exit_fns
                 ls = compute_labels(net, sink, exit_fns,
@@ -209,32 +205,27 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
     return RunResult(scenario, state, rounds, events)
 
 
-def _exit_fns(predictor, history, net, memo):
+def _exit_fns(predictor, history, net, free_flow):
     """Predicted exit-time function of every edge under one predictor, and
     how many of them were built.
 
-    ``memo`` maps an edge id to a weak reference to its last forecast and
-    that forecast's exit function, and is updated.  An edge whose forecast
-    is the very object it was last time keeps its exit function.  A dead
-    reference matches nothing, so a reused id cannot fool the check.  A
-    forecast that nothing else holds once the edge is done cannot be
-    returned again, so its entry is dropped rather than kept for a round.
+    ``free_flow`` maps an edge id to the exit function of an empty forecast,
+    the shared ``constant_fn(0.0)``, and is filled on first use.
     """
+    zero = constant_fn(0.0)
     exit_fns = {}
-    built = []
+    built = 0
     for e in net.edges:
         predicted = predictor.predict(history, e.id)
-        hit = memo.get(e.id)
-        if hit is None or hit[0]() is not predicted.fn:
-            hit = memo[e.id] = (weakref.ref(predicted.fn), exit_time_fn(
-                predicted, e.transit_time, e.capacity))
-            built.append(e.id)
-        exit_fns[e.id] = hit[1]
-    predicted = None   # so that the last edge's forecast, too, may die
-    for eid in built:
-        if memo[eid][0]() is None:
-            del memo[eid]
-    return exit_fns, len(built)
+        idle = predicted.fn is zero
+        fn = free_flow.get(e.id) if idle else None
+        if fn is None:
+            fn = exit_time_fn(predicted, e.transit_time, e.capacity)
+            built += 1
+            if idle:
+                free_flow[e.id] = fn
+        exit_fns[e.id] = fn
+    return exit_fns, built
 
 
 def _node_inflows(state, net, commodity, i, t):
@@ -308,8 +299,8 @@ def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
         for (i, v), live_ids in sorted(record.active_queries.items()):
             ls = by_commodity.get(i)
             if ls is None:
-                # a fresh memo builds every exit function anew, so the
-                # replay does not trust the live run's memo
+                # a fresh free-flow table: the replay builds its own exit
+                # functions and trusts none of the live run's
                 exit_fns, _ = _exit_fns(predictors[i], history, net, {})
                 ls = compute_labels(net, comms[i].sink, exit_fns,
                                     scenario.active_tolerance)

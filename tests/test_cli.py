@@ -94,6 +94,54 @@ def test_non_finite_inflow_time_is_an_input_error(scenario_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ('{"*": "linear"}', "commodity 0: predictor must be an object"),
+    ('{"0": ["linear"]}', "commodity 0: predictor must be an object"),
+    ('["x"]', "bad --predictor-overrides [\"x\"]; expected a JSON object"),
+    ("{", "bad --predictor-overrides: Expecting"),
+], ids=["string-spec", "list-spec", "list-table", "not-json"])
+def test_bad_predictor_overrides_are_input_errors(scenario_file, tmp_path,
+                                                  capsys, overrides, message):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                 "--predictor-overrides", overrides])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_object_predictor_in_scenario_is_an_input_error(
+        scenario_file, tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["predictor"] = "linear"
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: commodity 0: predictor must be an object like "
+        "{\"kind\": \"linear\"}, got 'linear'\n")
+    assert not out.exists()
+
+
+def test_model_without_an_edge_is_an_input_error(scenario_file, tmp_path,
+                                                 capsys):
+    width = 1 + (1 + 1) * 2
+    (tmp_path / "model.json").write_text(json.dumps({
+        "format": "dpe-model/1", "lags": 2, "samples": 1, "sample_step": 1.0,
+        "neighborhood_radius": 1,
+        "coefficients": {"0": [[0.0, 1.0] + [0.0] * (width - 2)]}}))
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["predictor"] = {"kind": "regression",
+                                          "model": "model.json"}
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: regression model has no coefficients for edge 1 ")
+    assert not out.exists()
+
+
 def test_sweep_csv(scenario_file, tmp_path):
     out = tmp_path / "out"
     code = main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
@@ -107,10 +155,15 @@ def test_sweep_csv(scenario_file, tmp_path):
     assert lines[4].startswith("2,constant,")
 
 
-def test_sweep_rejects_bad_grid(scenario_file, tmp_path):
-    code = main(["sweep", "--scenario", str(scenario_file),
-                 "--out", str(tmp_path), "--grid", "5:1:3"])
-    assert code == 1
+def test_sweep_rejects_bad_grid(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    for grid in ("5:1:3", "1:2", "1:2:x", "1:2:0", "a:2:3", "1:2:3:4"):
+        code = main(["sweep", "--scenario", str(scenario_file),
+                     "--out", str(out), "--grid", grid])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad grid {grid!r}; expected LO:HI:N\n")
+        assert not out.exists()
 
 
 def test_train_writes_model(scenario_file, tmp_path):

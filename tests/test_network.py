@@ -156,6 +156,25 @@ def test_import_tntp_empty_table(tmp_path):
     assert len(net.edges) == 0
 
 
+@pytest.mark.parametrize("metadata, links, nodes", [
+    # isolated nodes 3 and 5 are declared, so they stay
+    ("<NUMBER OF NODES> 5\n<END OF METADATA>\n", [(2, 1), (4, 2)],
+     (1, 2, 3, 4, 5)),
+    # no metadata: the endpoints, sorted
+    ("", [(7, 3), (3, 1)], (1, 3, 7)),
+    # an endpoint beyond the declared count joins the declared nodes
+    ("<NUMBER OF NODES> 3\n<END OF METADATA>\n", [(6, 1), (1, 2)],
+     (1, 2, 3, 6)),
+])
+def test_import_tntp_node_order(tmp_path, metadata, links, nodes):
+    p = tmp_path / "net.tntp"
+    p.write_text(metadata + "".join(f"{a} {b} 2.0 1 1.5 0.15 4 0 0 1 ;\n"
+                                    for a, b in links))
+    net = import_tntp(p)
+    assert net.nodes == nodes
+    assert [(e.tail, e.head) for e in net.edges] == links
+
+
 def test_import_tntp_rejects_zero_capacity(tmp_path):
     p = tmp_path / "bad.tntp"
     p.write_text("<END OF METADATA>\n1 2 0.0 1 1.0 0.15 4 0 0 1 ;\n")

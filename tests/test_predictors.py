@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from dpeflow.predictors import (
     fifo_fix,
     train_regression,
 )
-from dpeflow.pwl import PiecewiseLinearFn
+from dpeflow.pwl import PiecewiseLinearFn, constant_fn
 
 
 class FakeState:
@@ -60,6 +61,28 @@ def test_zero_predictor_is_flat_zero():
     h = history(pl([(0.0, 0.0), (5.0, 5.0)]), 5.0)
     p = ZeroPredictor().predict(h, 0)
     assert p(5.0) == 0.0 and p(100.0) == 0.0
+
+
+@pytest.mark.parametrize("queue", [
+    pl([(0.0, 0.0)]),                            # never used
+    pl([(0.0, 0.0), (1.0, 2.0), (3.0, 0.0)]),    # drained by time 3
+])
+def test_every_live_predictor_forecasts_an_empty_edge_as_the_shared_zero(
+        queue):
+    h = history(queue, 6.0)
+    predictors = [
+        ZeroPredictor(), ConstantPredictor(), ThresholdPredictor(),
+        LinearPredictor(), LinearPredictor(prediction_horizon=2.0),
+        RegularizedLinearPredictor(),
+        RegressionPredictor(RegressionModel.copy_last_value(
+            samples=3, sample_step=1.0, lags=2, neighborhood_radius=1)),
+    ]
+    for pred in predictors:
+        assert pred.predict(h, 0).fn is constant_fn(0.0), pred.kind
+    # a queued edge gets a forecast of its own from all but the zero predictor
+    busy = history(pl([(0.0, 1.0)]), 6.0)
+    for pred in predictors[1:]:
+        assert pred.predict(busy, 0).fn is not constant_fn(0.0), pred.kind
 
 
 def test_constant_predictor_freezes_current_value():
@@ -288,6 +311,58 @@ def test_model_load_rejects_other_formats(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="dpe-model/1"):
         RegressionModel.load(path)
+
+
+def copy_model_file(tmp_path, **changes):
+    model = RegressionModel.copy_last_value(samples=2, sample_step=1.0,
+                                            lags=2, neighborhood_radius=1)
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"-1": [[0.0, 1.0], [0.0, 1.0]]},                        # rows too short
+    {"-1": [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]] * 3},            # too many rows
+    {"-1": [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
+     + [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]},               # row too long
+    {"-1": [[0.0, 1.0, 0.0, 0.0, "x"]] * 2},                 # not a number
+    {"-1": [[0.0, 1.0, 0.0, 0.0, math.inf]] * 2},            # not finite
+    {"3": "rows"},
+])
+def test_model_load_checks_coefficient_shapes(tmp_path, coefficients):
+    # 2 samples, each 1 + (1 + 1) * 2 = 5 numbers wide
+    path = copy_model_file(tmp_path, coefficients=coefficients)
+    with pytest.raises(ValueError, match="must be 2 rows of 5 finite numbers"):
+        RegressionModel.load(path)
+    good = {"-1": [[0.0, 1.0, 0.0, 0.0, 0.0]] * 2}
+    assert RegressionModel.load(copy_model_file(tmp_path, coefficients=good))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lags", None, "lags must be an integer >= 1, got None"),
+    ("lags", "2", "lags must be an integer >= 1, got '2'"),
+    ("samples", 0, "samples must be an integer >= 1, got 0"),
+    ("neighborhood_radius", 1.5, "neighborhood_radius must be an integer"),
+    ("sample_step", -1.0, "sample_step must be finite and > 0, got -1.0"),
+    ("coefficients", [], "coefficients must be an object"),
+])
+def test_model_load_checks_its_fields(tmp_path, field, value, message):
+    path = copy_model_file(tmp_path, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        RegressionModel.load(path)
+
+
+def test_model_without_an_edge_or_shared_set_names_the_edge(tmp_path):
+    path = copy_model_file(
+        tmp_path, coefficients={"0": [[0.0, 1.0, 0.0, 0.0, 0.0]] * 2})
+    model = RegressionModel.load(path)
+    assert model.coefficients_for(0)
+    with pytest.raises(ValueError, match="no coefficients for edge 1 "):
+        model.coefficients_for(1)
 
 
 def test_training_needs_a_long_enough_trace():

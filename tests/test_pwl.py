@@ -15,6 +15,7 @@ from dpeflow.pwl import (
     _sample,
     compose_monotone,
     constant_fn,
+    from_points,
     identity_fn,
     linear_combination,
     pointwise_min,
@@ -62,6 +63,22 @@ def test_zero_constant_is_shared_and_keeps_its_sign():
     assert math.copysign(1.0, neg.values[0]) == -1.0
     assert math.copysign(1.0, constant_fn(0.0).values[0]) == 1.0
     assert constant_fn(2.5) is not constant_fn(2.5)
+    # every flat +0.0 from_points builds is the same object
+    zero = constant_fn(0.0)
+    assert from_points([(3.0, 0.0)]) is zero
+    assert from_points([(3.0, 0.0), (7.0, 0.0), (9.0, 0)]) is zero
+    assert from_points([(3.0, 0.0)], slope_before=-0.0) is zero
+    # anything else is its own object, with its breakpoints and sign bits
+    for f in (from_points([(3.0, 0.0)], slope_after=1.0),
+              from_points([(3.0, 0.0)], slope_before=-1.0),
+              from_points([(3.0, 0.0), (7.0, 1e-300)]),
+              from_points([(3.0, 0.0), (7.0, -0.0)])):
+        assert f is not zero and f.times[0] == 3.0
+    neg = from_points([(3.0, -0.0), (7.0, -0.0)])
+    assert neg is not zero
+    assert [math.copysign(1.0, v) for v in neg.values] == [-1.0, -1.0]
+    with pytest.raises(ValueError, match="at least one breakpoint"):
+        from_points([])
 
 
 # ----------------------------------------------------------------------- eval

@@ -18,11 +18,12 @@ from dpeflow import simulation
 from dpeflow.flow_state import FlowOverTime
 from dpeflow.predictors import (
     LinearPredictor,
+    PredictedQueue,
     PredictorModeError,
     QueueHistory,
     ZeroPredictor,
 )
-from dpeflow.pwl import RightConstantFn
+from dpeflow.pwl import PiecewiseLinearFn, RightConstantFn, constant_fn
 from dpeflow.simulation import (
     audit_dpe,
     audit_ide,
@@ -181,14 +182,15 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
         f"{2 * int(k == 0)} exit functions built, "
         f"{int(k == 0)} label sets, {int(k == 0)} active queries"
         for k in range(5)]
-    # a second predictor spec toward the same sink needs its own exit
-    # functions and label set
+    # a second predictor spec toward the same sink needs its own label set;
+    # at time 0 both edges are empty, so its linear forecasts are the shared
+    # zero and it reuses the zero spec's free-flow exit functions
     caplog.clear()
     other = Commodity(1, "s", "t", block_inflow(2.0, 1.0), {"kind": "linear"})
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(dataclasses.replace(scenario, commodities=(c, other)))
     assert caplog.records[0].getMessage().endswith(
-        ", 4 exit functions built, 2 label sets, 2 active queries")
+        ", 2 exit functions built, 2 label sets, 2 active queries")
     # with inflow until 3, the constant forecast of the queued edge changes
     # in rounds 1 and 2; the idle edge keeps its exit function
     caplog.clear()
@@ -212,9 +214,9 @@ def padded_two_routes(kind):
     return dataclasses.replace(sweep_variant(base, 2.0, kind), network=net)
 
 
-@pytest.mark.parametrize("kind", ["zero", "constant"])
-def test_exit_functions_are_built_once_per_idle_edge(kind, monkeypatch):
-    scenario = padded_two_routes(kind)
+@pytest.fixture
+def exit_fns_built(monkeypatch):
+    """Counts the exit functions ``run`` builds, per edge id."""
     built = Counter()
     original = simulation.exit_time_fn
 
@@ -223,6 +225,13 @@ def test_exit_functions_are_built_once_per_idle_edge(kind, monkeypatch):
         return original(predicted, transit_time, capacity)
 
     monkeypatch.setattr(simulation, "exit_time_fn", counted)
+    return built
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant"])
+def test_exit_functions_are_built_once_per_idle_edge(kind, exit_fns_built):
+    scenario = padded_two_routes(kind)
+    built = exit_fns_built
     result = run(scenario)
     n_base = len(two_routes().network.edges)
     idle = [e.id for e in scenario.network.edges
@@ -237,23 +246,50 @@ def test_exit_functions_are_built_once_per_idle_edge(kind, monkeypatch):
                                  if r.active_queries)
 
 
-def test_exit_fn_memo_keeps_only_forecasts_that_can_recur():
-    # the zero forecast is one shared object, so its entries stay and the
-    # second round builds nothing; a linear forecast is anchored at the
-    # round start, so nothing else holds it and its entry goes with it
+def test_exit_functions_are_built_once_per_idle_edge_for_all_specs(
+        exit_fns_built):
+    # zero and linear commodities share one free-flow exit function per edge
+    base = padded_two_routes("zero")
+    c = base.commodities[0]
+    comms = (c, dataclasses.replace(c, id=1, predictor_spec={"kind": "linear"}))
+    scenario = dataclasses.replace(base, commodities=comms)
+    result = run(scenario)
+    idle = [e.id for e in scenario.network.edges
+            if not any(result.state.queue_fn(e.id).values)]
+    assert len(result.rounds) > 1 and len(idle) > 3
+    assert [exit_fns_built[eid] for eid in idle] == [1] * len(idle)
+    assert audit_dpe(result, max_rounds=20) > 0
+
+
+class _OneQueued:
+    """Forecasts a queue of 1 on edge 0 and an empty queue elsewhere."""
+
+    def predict(self, history, edge_id):
+        return PredictedQueue(edge_id, history.now,
+                              constant_fn(0.0 if edge_id else 1.0))
+
+
+def test_free_flow_table_holds_only_empty_forecasts():
     net = padded_two_routes("zero").network
     state = FlowOverTime(net, 1)
-    for predictor, kept in ((ZeroPredictor(), len(net.edges)),
-                            (LinearPredictor(), 0)):
-        memo = {}
+    free_flow = {}
+    builds = []
+    for predictor in (ZeroPredictor(), LinearPredictor(), _OneQueued()):
         for now in (0.0, 1.0):
             history = QueueHistory(state, now)
-            fns, built = simulation._exit_fns(predictor, history, net, memo)
+            fns, built = simulation._exit_fns(predictor, history, net,
+                                              free_flow)
+            builds.append(built)
             assert fns == {e.id: simulation.exit_time_fn(
                 predictor.predict(history, e.id), e.transit_time, e.capacity)
                 for e in net.edges}
-        assert built == len(net.edges) - kept
-        assert len(memo) == kept
+            queued = {0} if isinstance(predictor, _OneQueued) else set()
+            assert [fns[e.id] is free_flow[e.id] for e in net.edges] == [
+                e.id not in queued for e in net.edges]
+    # the first pass builds every edge's, later passes only the queued edge's
+    assert builds == [len(net.edges), 0, 0, 0, 1, 1]
+    assert free_flow == {e.id: PiecewiseLinearFn(
+        (0.0,), (e.transit_time,), 1.0, 1.0) for e in net.edges}
 
 
 def test_two_routes_replay_reproduces_decisions():
