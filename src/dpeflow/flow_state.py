@@ -50,7 +50,7 @@ class _EdgeState:
     __slots__ = (
         "edge", "live", "commodities", "in_times", "in_rates",
         "assigned_until", "out_times", "out_rates", "agg_times", "agg_rates",
-        "q_times", "q_values", "q_slope_last", "exit_cursor",
+        "q_times", "q_values", "q_slope_last", "exit_cursor", "scanned",
     )
 
     def __init__(self, edge, n_commodities: int):
@@ -68,6 +68,7 @@ class _EdgeState:
         self.q_values = [0.0]
         self.q_slope_last = None
         self.exit_cursor = edge.transit_time
+        self.scanned = False   # listed for next_rate_change
 
 
 class FlowOverTime:
@@ -88,7 +89,10 @@ class FlowOverTime:
         self.edges_advanced = 0
         self._edges = [_EdgeState(e, n_commodities) for e in network.edges]
         self._live: list[int] = []          # sorted ids of live edges
-        self._used: list[int] = []          # ids of edges that carried flow
+        # ids of the edges that carried flow and, at the last
+        # next_rate_change, were live or had an outflow breakpoint after it
+        self._scan: list[int] = []
+        self._scanned_after = -math.inf
         # per commodity, sorted ids of the edges it ever entered
         self._commodity_edges: list[list[int]] = [
             [] for _ in range(n_commodities)]
@@ -121,14 +125,15 @@ class FlowOverTime:
         self._rc_append(times, rates, start, rate)
         es.assigned_until[commodity] = max(es.assigned_until[commodity], end)
         if rate > 0.0 and commodity not in es.commodities:
-            if not es.commodities:
-                self._used.append(edge)
             insort(es.commodities, commodity)
             insort(self._commodity_edges[commodity], edge)
         if not es.live:
             self._catch_up(es)   # wake up
             es.live = True
             insort(self._live, edge)
+        if es.commodities and not es.scanned:
+            es.scanned = True
+            self._scan.append(edge)
 
     def _close_expired(self, es, i, t):
         """Drop commodity i's inflow on ``es`` to 0 where its assignment ended,
@@ -360,13 +365,31 @@ class FlowOverTime:
         edge, aggregate or per commodity.  Commodity shares can shift while
         the aggregate stays flat, so both kinds of lists are scanned, on the
         edges that ever carried flow and for their commodities with inflow
-        (all other lists hold a single 0 at time 0)."""
+        (all other lists hold a single 0 at time 0).
+
+        A dormant edge gets no outflow breakpoint until ``assign_inflow``
+        wakes it, so once it has none after ``after`` it is not scanned again
+        before then; a query before an earlier one scans every edge anew."""
+        if after < self._scanned_after:
+            self._scan = [es.edge.id for es in self._edges if es.commodities]
+            for eid in self._scan:
+                self._edges[eid].scanned = True
+        self._scanned_after = after
         best = math.inf
-        for eid in self._used:
+        drained = False
+        for eid in self._scan:
             es = self._edges[eid]
-            best = _first_after(es.agg_times, after, best)
+            first = _first_after(es.agg_times, after, math.inf)
             for i in es.commodities:
-                best = _first_after(es.out_times[i], after, best)
+                first = _first_after(es.out_times[i], after, first)
+            if first < best:
+                best = first
+            elif first == math.inf and not es.live:
+                es.scanned = False
+                drained = True
+        if drained:
+            self._scan = [eid for eid in self._scan
+                          if self._edges[eid].scanned]
         return None if best == math.inf else best
 
     # ------------------------------------------------------------------ audit

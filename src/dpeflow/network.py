@@ -202,16 +202,29 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, base_dir=path.parent)
 
 
+def _json(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (dict or list), else a
+    ParseError naming ``what``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ParseError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
+    _json(doc, dict, "a scenario")
     fmt = doc.get("format")
     if fmt != SCENARIO_FORMAT:
         raise ParseError(f"unsupported scenario format tag {fmt!r}, expected {SCENARIO_FORMAT!r}")
     net_doc = doc.get("network")
     if net_doc is None:
         raise ParseError("scenario is missing the 'network' section")
+    _json(net_doc, dict, "'network'")
     seen_ids = set()
     edges = []
-    for i, e in enumerate(net_doc.get("edges", [])):
+    for i, e in enumerate(_json(net_doc.get("edges", []), list,
+                                "'network.edges'")):
+        _json(e, dict, f"network edge {i}")
         eid = e.get("id", i)
         if eid in seen_ids:
             raise ValidationError(f"duplicate edge id {eid}")
@@ -223,10 +236,12 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     nodes = net_doc.get("nodes")
     if nodes is None:
         nodes = list(dict.fromkeys(n for t, h, *_ in edges for n in (t, h)))
-    network = Network(nodes, edges)
+    network = Network(_json(nodes, list, "'network.nodes'"), edges)
 
     commodities = []
-    for i, c in enumerate(doc.get("commodities", [])):
+    for i, c in enumerate(_json(doc.get("commodities", []), list,
+                                "'commodities'")):
+        _json(c, dict, f"commodity {i}")
         for key in ("source", "sink", "inflow"):
             if key not in c:
                 raise ParseError(f"commodity {i}: missing field {key!r}")
@@ -240,7 +255,7 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
             predictor_spec=dict(spec),
         ))
 
-    pp = doc.get("predictor_params", {})
+    pp = _json(doc.get("predictor_params", {}), dict, "'predictor_params'")
     horizon_pred = pp.get("prediction_horizon", None)
     params = PredictorParams(
         delta=pp.get("delta", 1.0),
@@ -265,12 +280,15 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
 
 
 def _inflow_from_dict(spec, where: str) -> RightConstantFn:
+    _json(spec, dict, f"{where}: inflow")
     if "rate" in spec:
         if "until" not in spec:
             raise ParseError(f"{where}: block inflow needs 'until'")
         return block_inflow(spec["rate"], spec["until"])
     if "times" in spec and "rates" in spec:
-        return RightConstantFn(tuple(spec["times"]), tuple(spec["rates"]))
+        return RightConstantFn(
+            tuple(_json(spec["times"], list, f"{where}: inflow times")),
+            tuple(_json(spec["rates"], list, f"{where}: inflow rates")))
     raise ParseError(f"{where}: inflow must give rate/until or times/rates")
 
 

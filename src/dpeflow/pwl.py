@@ -11,6 +11,16 @@ operations never modify their inputs, and :func:`from_points` returns one
 shared instance for every flat +0.0 function, so an empty forecast is
 recognised by identity.
 
+Functions are validated where data enters and trusted inside.
+``PiecewiseLinearFn(...)`` converts its parts to floats and checks them
+(strictly increasing finite times, finite values and slopes), and so does
+everything built from caller data: :func:`from_points`, :func:`constant_fn`,
+:func:`linear_combination`, and every function the other modules make from
+scenarios, forecasts or flows.  The results of the algebra,
+:func:`compose_monotone`, :func:`pointwise_min` and :func:`prune`, are float
+arithmetic on functions that passed those checks, so they are built by
+``_trusted``, which skips them; it is used in this module only.
+
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
 - times, rates and queues are compared absolutely, ``|a - b| <= EPS``;
@@ -168,6 +178,18 @@ class PiecewiseLinearFn:
         return True
 
 
+def _trusted(times: tuple[float, ...], values: tuple[float, ...],
+             slope_before: float, slope_after: float) -> PiecewiseLinearFn:
+    """A result of the algebra, built without ``__post_init__``: its parts
+    are float tuples and floats derived from validated functions, so they
+    are already what validation would make of them."""
+    f = object.__new__(PiecewiseLinearFn)
+    f.__dict__.update(times=times, values=values,
+                      slope_before_first=slope_before,
+                      slope_after_last=slope_after)
+    return f
+
+
 def identity_fn() -> PiecewiseLinearFn:
     """The function t -> t."""
     return PiecewiseLinearFn((0.0,), (0.0,), 1.0, 1.0)
@@ -236,8 +258,14 @@ def _distinct(pts) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _merged_times(time_lists) -> tuple[float, ...]:
-    merged = sorted(set(t for ts in time_lists for t in ts))
-    return _distinct(zip(merged, merged))[0]
+    """The union of the time lists, sorted, without times within EPS after
+    the last one kept."""
+    merged = sorted(set().union(*time_lists))
+    out = [merged[0]]
+    for t in merged:
+        if t - out[-1] > EPS:
+            out.append(t)
+    return tuple(out)
 
 
 def from_points(pts, slope_before: float = 0.0,
@@ -260,7 +288,7 @@ def compose_monotone(
     """Exact composition outer(inner(t)) for non-decreasing inner.
 
     Breakpoints of the result are the inner breakpoints plus the preimages of
-    the outer breakpoints under inner.  Raises :class:`NotMonotoneError` when
+    the outer breakpoints under inner, pruned.  Raises :class:`NotMonotoneError` when
     inner decreases anywhere.
     """
     if not inner.is_nondecreasing():
@@ -274,7 +302,7 @@ def compose_monotone(
     # inner tail zeroes the product whatever outer does
     slope_before = outer.slope_before_first * inner.slope_before_first
     slope_after = outer.slope_after_last * inner.slope_after_last
-    return prune(PiecewiseLinearFn(grid, values, slope_before, slope_after))
+    return prune(_trusted(grid, tuple(values), slope_before, slope_after))
 
 
 def _preimages(inner: PiecewiseLinearFn, y: float) -> list[float]:
@@ -343,7 +371,8 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
     """Exact lower envelope of piecewise-linear functions.
 
     New breakpoints appear at segment crossings; ties between coincident
-    segments keep the earlier-listed function's segment.
+    segments keep the earlier-listed function's segment.  The result is
+    pruned, and ends that restate the boundary slopes are dropped.
     """
     if not fns:
         raise ValueError("pointwise_min of an empty list (encode unreachable explicitly)")
@@ -364,6 +393,13 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
         pts.append((-x, v))
 
     for a, b, ya, yb in zip(grid, grid[1:], rows, rows[1:]):
+        lo = min(ya)
+        j = ya.index(lo)
+        if yb[j] <= min(yb) and ya.count(lo) == 1:
+            # one piece is lowest at a and still lowest at b: being linear,
+            # no other piece can cross it inside, so it is the envelope
+            pts.append((a, lo))
+            continue
         slopes = [(vb - va) / (b - a) for va, vb in zip(ya, yb)]
         verts, _ = _envelope_forward(ya, slopes, order, a, b)
         pts.extend(verts)
@@ -373,7 +409,12 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
         math.inf)
     pts.extend(verts)
 
-    return _drop_redundant_ends(from_points(pts, slope_before, slope_after))
+    if not (slope_before or slope_after or any(v for _, v in pts)):
+        # flat at zero: from_points decides whether it is the shared zero
+        return _drop_redundant_ends(from_points(pts, slope_before, slope_after))
+    times, values = _distinct(pts)
+    return _drop_redundant_ends(
+        prune(_trusted(times, values, slope_before, slope_after)))
 
 
 def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -395,26 +436,31 @@ def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
             break
     if len(times) == len(f.times):
         return f
-    return PiecewiseLinearFn(tuple(times), tuple(values),
-                             f.slope_before_first, f.slope_after_last)
+    return _trusted(tuple(times), tuple(values),
+                    f.slope_before_first, f.slope_after_last)
 
 
 def prune(f: PiecewiseLinearFn) -> PiecewiseLinearFn:
     """Remove (numerically) collinear interior breakpoints; the first and
     last breakpoints always survive."""
-    pts = list(zip(f.times, f.values))
-    kept = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        t0, v0 = kept[-1]
-        t1, v1 = pts[i]
-        t2, v2 = pts[i + 1]
+    times, values = f.times, f.values
+    n = len(times)
+    if n < 3:
+        return f
+    kept_t, kept_v = [times[0]], [values[0]]
+    t0, v0 = times[0], values[0]
+    for i in range(1, n - 1):
+        t1, v1 = times[i], values[i]
+        t2, v2 = times[i + 1], values[i + 1]
         interp = v0 + (v2 - v0) * (t1 - t0) / (t2 - t0)
         if abs(v1 - interp) <= EPS * max(1.0, abs(v1)):
             continue
-        kept.append(pts[i])
-    if len(pts) > 1:
-        kept.append(pts[-1])
-    if len(kept) == len(pts):
+        kept_t.append(t1)
+        kept_v.append(v1)
+        t0, v0 = t1, v1
+    if len(kept_t) == n - 1:
         return f
-    times, values = zip(*kept)
-    return PiecewiseLinearFn(times, values, f.slope_before_first, f.slope_after_last)
+    kept_t.append(times[-1])
+    kept_v.append(values[-1])
+    return _trusted(tuple(kept_t), tuple(kept_v),
+                    f.slope_before_first, f.slope_after_last)

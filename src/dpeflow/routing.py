@@ -25,14 +25,16 @@ current labels of its out-neighbors; only if the label changed are its
 in-neighbors queued, each at most once at a time.  A node's candidate
 through an out-edge e = (v, w) is l_w composed with the exit time of e; it
 is kept per edge and recomposed only once l_w has been replaced, so a
-recomputation redoes only the edges whose heads changed.  Predicted exit
-times always exceed the departure time by at least the transit time, so
-optimal arrivals are attained by simple paths.  The FIFO queue processes
-nodes in Bellman-Ford passes, each popping a node at most once, and a node
-is popped after every change that queued it, in the same pass or the next.
-So a node whose best path has k edges holds its final label after pass k,
-labels settle within |V| - 1 passes, and a node popped more than |V| + 2
-times signals a malformed exit-time function and aborts.
+recomputation redoes only the edges whose heads changed.  Each candidate and
+each label is pruned once, inside ``compose_monotone`` and ``pointwise_min``
+that build it.  Predicted exit times always exceed the departure time by at
+least the transit time, so optimal arrivals are attained by simple paths.
+The FIFO queue processes nodes in Bellman-Ford passes, each popping a node
+at most once, and a node is popped after every change that queued it, in the
+same pass or the next.  So a node whose best path has k edges holds its
+final label after pass k, labels settle within |V| - 1 passes, and a node
+popped more than |V| + 2 times signals a malformed exit-time function and
+aborts.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .pwl import (
     compose_monotone,
     identity_fn,
     pointwise_min,
-    prune,
+    prune,  # noqa: F401 (unused; perfbench's tracer test reads routing.prune)
 )
 
 
@@ -187,7 +189,7 @@ class _ShiftLabels(Mapping):
 def _corrected_labels(network, sink, exit_fns):
     """Backward label correction from ``sink`` under the given exit times."""
     labels: dict[str, PiecewiseLinearFn] = {sink: identity_fn()}
-    # edge id -> (head label, pruned composition with the edge's exit time)
+    # edge id -> (head label, its composition with the edge's exit time)
     composed: dict[int, tuple[PiecewiseLinearFn, PiecewiseLinearFn]] = {}
     pending = deque()
     queued = set()
@@ -227,10 +229,10 @@ def _best_label(network, v, labels, exit_fns, composed):
             continue
         hit = composed.get(e.id)
         if hit is None or hit[0] is not head:
-            hit = (head, prune(compose_monotone(head, exit_fns[e.id])))
+            hit = (head, compose_monotone(head, exit_fns[e.id]))
             composed[e.id] = hit
         candidates.append(hit[1])
-    return prune(pointwise_min(candidates))
+    return pointwise_min(candidates)
 
 
 def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn) -> bool:

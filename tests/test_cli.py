@@ -124,6 +124,39 @@ def test_non_object_predictor_in_scenario_is_an_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ((), [], "a scenario must be an object, got []"),
+    (("network",), [], "'network' must be an object, got []"),
+    (("network", "edges"), {}, "'network.edges' must be an array, got {}"),
+    (("network", "edges", 0), 3, "network edge 0 must be an object, got 3"),
+    (("network", "nodes"), "svwt",
+     "'network.nodes' must be an array, got 'svwt'"),
+    (("commodities",), {}, "'commodities' must be an array, got {}"),
+    (("commodities", 0), "s->t", "commodity 0 must be an object, got 's->t'"),
+    (("commodities", 0, "inflow"), 5,
+     "commodity 0: inflow must be an object, got 5"),
+    (("commodities", 0, "inflow"), {"times": 0.0, "rates": [1.0]},
+     "commodity 0: inflow times must be an array, got 0.0"),
+    (("predictor_params",), [], "'predictor_params' must be an object, got []"),
+], ids=["scenario", "network", "edges", "edge", "nodes", "commodities",
+        "commodity", "inflow", "inflow-times", "predictor-params"])
+def test_mistyped_scenario_section_is_an_input_error(
+        scenario_file, tmp_path, capsys, path, value, message):
+    doc = json.loads(scenario_file.read_text())
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_model_without_an_edge_is_an_input_error(scenario_file, tmp_path,
                                                  capsys):
     width = 1 + (1 + 1) * 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dpeflow.flow_state import FlowOverTime
 from dpeflow.network import Network
+from dpeflow.pwl import EPS
 
 
 def one_edge_net(transit_time=1.0, capacity=1.0):
@@ -209,6 +210,38 @@ def test_edge_drains_sleeps_and_refills():
     assert q.values == (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     assert state.exit_time(0, 7.5) == 9.5
     state.audit_flow()
+
+
+def test_next_rate_change_skips_drained_edges_until_they_wake():
+    net = Network(["a", "b", "c"], [("a", "b", 1.0, 1.0),
+                                    ("b", "c", 0.5, 2.0),
+                                    ("a", "c", 2.0, 1.0)])
+    state = FlowOverTime(net, 2)
+
+    def brute_force(after):
+        """First outflow breakpoint after ``after`` on any edge."""
+        fns = [f for e in range(len(net.edges))
+               for f in [state.aggregate_outflow_fn(e)]
+               + [state.outflow_fn(i, e) for i in range(2)]]
+        return min((t for f in fns for t in f.times if t > after + EPS),
+                   default=None)
+
+    # commodity 0 sends a burst over edges 0 and 1, which drain by 3 and 3.5;
+    # commodity 1 keeps flowing on edge 2 and wakes edge 0 again at 5
+    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.assign_inflow(1, 2, 0.5, 0.0, 8.0)
+    for k in range(1, 21):
+        t = 0.5 * k
+        if 1.0 <= t <= 3.0:
+            state.assign_inflow(0, 1, 1.0, t - 0.5, t)
+        if t == 5.5:
+            state.assign_inflow(1, 0, 1.5, 5.0, 6.0)
+        state.advance(t)
+        assert state.next_rate_change(t) == brute_force(t), t
+    assert state.outflow_fn(1, 0).times == (0.0, 6.0, 7.5)
+    # a query before the last one still sees the drained edges' breakpoints
+    for after in (0.0, 2.5, 6.0, 9.0):
+        assert state.next_rate_change(after) == brute_force(after), after
 
 
 def test_queue_left_slope_matches_the_queue_function():

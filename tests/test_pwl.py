@@ -12,6 +12,9 @@ from dpeflow.pwl import (
     NotMonotoneError,
     PiecewiseLinearFn,
     RightConstantFn,
+    _distinct,
+    _drop_redundant_ends,
+    _envelope_forward,
     _sample,
     compose_monotone,
     constant_fn,
@@ -329,6 +332,83 @@ def test_property_monotone_survives_prune(f):
     assert prune(f).is_nondecreasing()
 
 
+def _full_sweep_min(fns):
+    """``pointwise_min`` as a full sweep: the lower envelope of every grid
+    interval by ``_envelope_forward``, then ``from_points`` and
+    ``_drop_redundant_ends``."""
+    if len(fns) == 1:
+        return fns[0]
+    merged = sorted(set(t for f in fns for t in f.times))
+    grid = _distinct(zip(merged, merged))[0]
+    rows = list(zip(*(_sample(f, grid) for f in fns)))
+    order = list(range(len(fns)))
+    pts = []
+    mirrored, mslope = _envelope_forward(
+        rows[0], [-f.slope_before_first for f in fns], order, -grid[0],
+        math.inf)
+    for x, v in reversed(mirrored[1:]):
+        pts.append((-x, v))
+    for a, b, ya, yb in zip(grid, grid[1:], rows, rows[1:]):
+        slopes = [(vb - va) / (b - a) for va, vb in zip(ya, yb)]
+        pts.extend(_envelope_forward(ya, slopes, order, a, b)[0])
+    verts, slope_after = _envelope_forward(
+        rows[-1], [f.slope_after_last for f in fns], order, grid[-1],
+        math.inf)
+    pts.extend(verts)
+    return _drop_redundant_ends(from_points(pts, -mslope, slope_after))
+
+
+def _bits(f):
+    return ([t.hex() for t in f.times], [v.hex() for v in f.values],
+            f.slope_before_first.hex(), f.slope_after_last.hex())
+
+
+@st.composite
+def close_candidates(draw):
+    """2-4 functions on breakpoints drawn from one shared pool, each a copy
+    of the first shifted by an offset per breakpoint: zero gives exact ties
+    at grid points, tiny offsets near-parallel pieces that may cross."""
+    scale = draw(st.sampled_from([1.0, 100.0, 1e4]))
+    base = draw(piecewise_linear())
+    pool = sorted(set(base.times) | set(draw(st.lists(
+        st.floats(min_value=-12.0, max_value=12.0), max_size=4))))
+    if any(b - a < 1e-3 for a, b in zip(pool, pool[1:])):
+        pool = list(base.times)
+    offsets = st.sampled_from(
+        [0.0, 0.0, 1e-13, -1e-13, 1e-12, -3e-12, 1e-10, 1e-7, 0.25, -0.5])
+    fns = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        times = sorted(draw(st.sets(st.sampled_from(pool), min_size=1)))
+        values = [scale * (base(t) + draw(offsets)) for t in times]
+        slopes = [s + draw(offsets) for s in (base.slope_before_first,
+                                              base.slope_after_last)]
+        fns.append(PiecewiseLinearFn(tuple(scale * t for t in times),
+                                     tuple(values), *slopes))
+    return fns
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(close_candidates(),
+                 st.lists(piecewise_linear(), min_size=2, max_size=4)))
+def test_property_min_is_bit_identical_to_a_full_sweep(fns):
+    assert _bits(pointwise_min(fns)) == _bits(_full_sweep_min(fns))
+
+
+@settings(max_examples=80, deadline=None)
+@given(piecewise_linear(), piecewise_linear(monotone=True),
+       close_candidates())
+def test_property_algebra_results_are_valid_floats(outer, inner, fns):
+    results = [compose_monotone(outer, inner), pointwise_min(fns),
+               prune(inner), prune(outer)]
+    results += [prune(f) for f in fns]
+    for g in results:
+        assert type(g.times) is tuple and type(g.values) is tuple
+        assert all(type(x) is float for x in g.times + g.values + (
+            g.slope_before_first, g.slope_after_last))
+        assert g == PiecewiseLinearFn(g.times, g.values, g.slope_before_first,
+                                      g.slope_after_last)
+
+
 # ----------------------------------------------------------- tolerance policy
 
 
@@ -369,3 +449,17 @@ def test_one_internal_tolerance():
     found = sorted(lit for path in sorted(SRC.glob("*.py"))
                    for lit in _small_float_literals(path))
     assert found == SMALL_LITERALS
+
+
+def test_trusted_construction_stays_in_pwl():
+    # results of the algebra skip validation; functions built from caller,
+    # scenario or flow data anywhere else go through PiecewiseLinearFn(...)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "pwl.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        assert not names & {"_trusted", "__new__"}, path.name
