@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="zero,constant,linear,reg_linear,regression")
     p_sweep.add_argument("--epsilon", type=float, default=None)
     p_sweep.add_argument("--horizon", type=float, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, at least 1; never more "
+                              "are started than there are runs")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -17,9 +17,10 @@ Functions are validated where data enters and trusted inside.
 everything built from caller data: :func:`from_points`, :func:`constant_fn`,
 :func:`linear_combination`, and every function the other modules make from
 scenarios, forecasts or flows.  The results of the algebra,
-:func:`compose_monotone`, :func:`pointwise_min` and :func:`prune`, are float
-arithmetic on functions that passed those checks, so they are built by
-``_trusted``, which skips them; it is used in this module only.
+:func:`compose_monotone`, :func:`pointwise_min`, :func:`prune` and
+:func:`restrict_from`, are float arithmetic on functions that passed those
+checks, so they are built by ``_trusted``, which skips them; it is used in
+this module only.
 
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
@@ -32,7 +33,7 @@ The simulator's one tolerance is :data:`EPS`, used by every module:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 EPS = 1.0e-12
@@ -415,6 +416,27 @@ def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
     times, values = _distinct(pts)
     return _drop_redundant_ends(
         prune(_trusted(times, values, slope_before, slope_after)))
+
+
+def restrict_from(f: PiecewiseLinearFn, start: float) -> PiecewiseLinearFn:
+    """f on [start, inf): a breakpoint at ``start`` with the value
+    ``f(start)`` (f's own breakpoint if ``start`` is one), f's breakpoints
+    after ``start``, and a flat left tail.
+
+    Values at ``start`` and at the kept breakpoints are f's bit for bit, so
+    the result is f itself from ``start`` on.  f comes back unchanged when it
+    already starts at ``start`` with a flat left tail.
+    """
+    if not math.isfinite(start):
+        raise ValueError(f"non-finite restriction start {start!r}")
+    times, values = f.times, f.values
+    i = bisect_left(times, start)
+    if i < len(times) and times[i] == start:
+        if i == 0 and f.slope_before_first == 0.0:
+            return f
+        return _trusted(times[i:], values[i:], 0.0, f.slope_after_last)
+    return _trusted((float(start),) + times[i:], (f(start),) + values[i:],
+                    0.0, f.slope_after_last)
 
 
 def _drop_redundant_ends(f: PiecewiseLinearFn) -> PiecewiseLinearFn:

@@ -18,7 +18,13 @@ node's label function is built on its first lookup and kept: a round asks
 check of the Dijkstra labels.
 
 Every other forecast goes through backward label correction over the
-function space (Dreyfus 1969; Orda and Rom 1990), in pull order: a FIFO
+function space (Dreyfus 1969; Orda and Rom 1990), restricted to departures
+at or after the decision time ``start``.  An exit time is at least the
+departure time plus the transit time, so l_v on [start, inf) reads l_w on
+[start, inf) only.  Each exit function is cut there by
+``pwl.restrict_from``, so no label but the sink's identity holds a
+breakpoint before ``start``; the labels are exact from ``start`` on, and
+``LabelSet`` refuses earlier reads.  Correction runs in pull order: a FIFO
 queue holds the nodes whose label may be out of date, starting with the
 sink's in-neighbors.  Popping a node recomputes its label once, from the
 current labels of its out-neighbors; only if the label changed are its
@@ -49,12 +55,14 @@ from itertools import count
 from .network import ACTIVE_TOLERANCE, Network
 from .pwl import (
     EPS,
+    DomainError,
     PiecewiseLinearFn,
     _sample,
     compose_monotone,
     identity_fn,
     pointwise_min,
     prune,  # noqa: F401 (unused; perfbench's tracer test reads routing.prune)
+    restrict_from,
 )
 
 
@@ -64,24 +72,38 @@ class ConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Earliest-arrival labels toward one sink, plus the exit times used."""
+    """Earliest-arrival labels toward one sink, plus the exit times used.
+
+    The labels are exact from ``start`` on, the decision time they were
+    computed for (``-inf`` for the whole line); ``exit_fns`` are the whole
+    exit-time functions.  Reading a label before ``start`` raises
+    :class:`~dpeflow.pwl.DomainError`.
+    """
 
     network: Network
     sink: str
     labels: Mapping[str, PiecewiseLinearFn]
     exit_fns: dict[int, PiecewiseLinearFn]
     active_tolerance: float = ACTIVE_TOLERANCE
+    start: float = -math.inf
+
+    def _check_time(self, t: float) -> None:
+        if t < self.start - EPS:
+            raise DomainError(
+                f"label read at {t} before its start {self.start}")
 
     def earliest_arrival(self, node: str, t: float) -> float:
         """Predicted arrival at the sink leaving ``node`` at ``t``.
 
         Returns infinity when the sink is not reachable from ``node``.
         """
+        self._check_time(t)
         label = self.labels.get(node)
         return label(t) if label is not None else math.inf
 
     def active_edges(self, node: str, t: float):
         """Out-edges whose predicted arrival matches the node label at ``t``."""
+        self._check_time(t)
         label = self.labels.get(node)
         if label is None:
             return []
@@ -99,20 +121,30 @@ class LabelSet:
 
 def compute_labels(network: Network, sink: str,
                    exit_fns: dict[int, PiecewiseLinearFn],
-                   active_tolerance: float = ACTIVE_TOLERANCE) -> LabelSet:
-    """Earliest-arrival labels toward ``sink`` under the given exit times.
+                   active_tolerance: float = ACTIVE_TOLERANCE, *,
+                   start: float = -math.inf) -> LabelSet:
+    """Earliest-arrival labels toward ``sink`` under the given exit times,
+    exact for departures at or after ``start`` (the whole line by default).
 
     One Dijkstra when every exit time is a positive shift, backward label
-    correction otherwise.
+    correction on the exit times restricted to [start, inf) otherwise (see
+    the module docstring for why that suffices).
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
+    if start != -math.inf and not math.isfinite(start):
+        raise ValueError(f"label start must be finite or -inf, got {start!r}")
     shifts = _positive_shifts(exit_fns)
     if shifts is not None:
         labels = _shift_labels(network, sink, shifts)
     else:
-        labels = _corrected_labels(network, sink, exit_fns)
-    return LabelSet(network, sink, labels, dict(exit_fns), active_tolerance)
+        restricted = exit_fns
+        if start != -math.inf:
+            restricted = {eid: restrict_from(f, start)
+                          for eid, f in exit_fns.items()}
+        labels = _corrected_labels(network, sink, restricted)
+    return LabelSet(network, sink, labels, dict(exit_fns), active_tolerance,
+                    start)
 
 
 def _positive_shifts(exit_fns):

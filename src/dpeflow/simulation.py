@@ -3,7 +3,9 @@
 Time is cut into rounds of length ``prediction_step``.  At the start of a
 round every commodity may refresh its queue forecasts and the earliest
 arrival labels derived from them; the resulting active edges stay fixed for
-the round.  Within a round the flow evolves exactly: sub-phases advance from
+the round.  Labels are asked for at the round start only, so they are
+computed exactly from that time on and not before it (see ``routing``).
+Within a round the flow evolves exactly: sub-phases advance from
 one known rate change to the next, and on each sub-phase the node inflow of
 every commodity is split equally over its active out-edges.
 
@@ -146,7 +148,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                     exit_built += built
                     exit_cache[spec_key] = exit_fns
                 ls = compute_labels(net, sink, exit_fns,
-                                    scenario.active_tolerance)
+                                    scenario.active_tolerance,
+                                    start=round_start)
                 label_cache[(spec_key, sink)] = ls
             return ls
 
@@ -447,12 +450,18 @@ def _sweep_task(args):
 def run_sweep(scenario: Scenario, totals, predictor_kinds, jobs: int = 1):
     """Average travel time over an inflow grid, one curve per predictor.
 
-    Returns rows (total_inflow, predictor, avg_tt) in grid-major order.
+    Simulates in up to ``jobs`` worker processes, never more than there are
+    runs.  Returns rows (total_inflow, predictor, avg_tt) in grid-major
+    order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(scenario, total, kind)
              for total in totals for kind in predictor_kinds]
-    if jobs > 1:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_task, tasks))
     return [_sweep_task(t) for t in tasks]

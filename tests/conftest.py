@@ -64,6 +64,32 @@ def random_scenario(seed: int) -> Scenario:
                     seed=seed)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ``ProcessPoolExecutor`` by a pool that records the size it
+    is asked for and runs the tasks in this process, starting no worker.
+    Returns the recorded sizes."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def sioux_network():
     return import_tntp(DATA / "sioux_falls_net.tntp")

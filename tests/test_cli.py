@@ -199,6 +199,20 @@ def test_sweep_rejects_bad_grid(scenario_file, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_jobs(scenario_file, tmp_path, capsys, pool_sizes):
+    out = tmp_path / "out"
+    args = ["sweep", "--scenario", str(scenario_file), "--out", str(out),
+            "--grid", "0.5:2:2", "--predictors", "zero", "--horizon", "30"]
+    for jobs in ("0", "-1"):
+        assert main(args + ["--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            f"error: jobs must be at least 1, got {jobs}\n")
+        assert not out.exists()
+    assert main(args + ["--jobs", "5000"]) == 0
+    assert pool_sizes == [2]
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_train_writes_model(scenario_file, tmp_path):
     model_path = tmp_path / "model.json"
     code = main(["train", "--scenario", str(scenario_file),

@@ -9,6 +9,7 @@ from dpeflow.network import Network
 from dpeflow.predictors import fifo_fix
 from dpeflow.pwl import (
     EPS,
+    DomainError,
     NotMonotoneError,
     PiecewiseLinearFn,
     compose_monotone,
@@ -292,6 +293,59 @@ def test_labels_match_path_enumeration(seed, extra):
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-7)
+
+
+def assert_agree_from(part, whole, start):
+    """``part`` equals ``whole`` on [start, inf) up to EPS relative: both are
+    linear between the start and their breakpoints after it."""
+    def close(x, y):
+        return abs(x - y) <= EPS * max(1.0, abs(y))
+
+    grid = sorted({start, *(t for t in part.times + whole.times if t > start)})
+    for t in grid:
+        assert close(part(t), whole(t)), (t, part(t), whole(t))
+    assert close(part.slope_after_last, whole.slope_after_last)
+
+
+# C2's random instances, then the label-correction instances above
+RESTRICTED_INSTANCES = (
+    [pytest.param(1000 + seed, None, id=f"c2-{seed}") for seed in range(30)]
+    + LABEL_INSTANCES)
+
+
+@pytest.mark.parametrize("seed, extra", RESTRICTED_INSTANCES)
+def test_labels_from_start_agree_with_whole_line_labels(seed, extra):
+    rng = np.random.default_rng(seed)
+    net, exit_fns, sink = random_instance(rng, int(rng.integers(4, 9)))
+    if extra is not None:
+        net, exit_fns = with_extra_edges(rng, net, sink, extra)
+    whole = compute_labels(net, sink, exit_fns)
+    # before, inside and after the exit functions' breakpoints
+    for start in (-3.0, 0.0, 4.25, 11.0, float(rng.uniform(0.0, 20.0)), 26.0):
+        part = compute_labels(net, sink, exit_fns, start=start)
+        assert part.start == start and part.exit_fns == whole.exit_fns
+        assert part.labels.keys() == whole.labels.keys()
+        for v, label in part.labels.items():
+            # the sink keeps the identity, exact on the whole line
+            assert v == sink or label.times[0] >= start
+            assert_agree_from(label, whole.labels[v], start)
+        for v in net.nodes:
+            assert part.active_edges(v, start) == whole.active_edges(v, start)
+            with pytest.raises(DomainError):
+                part.earliest_arrival(v, start - 1.0)
+            with pytest.raises(DomainError):
+                part.active_edges(v, start - 1.0)
+
+
+def test_labels_from_start_on_the_shift_path():
+    net = Network(["s", "a", "t"], [("s", "a", 1.0, 1.0), ("a", "t", 1.0, 1.0)])
+    ls = compute_labels(net, "t", {0: shift(1.0), 1: shift(2.5)}, start=3.0)
+    assert ls.earliest_arrival("s", 3.0) == 6.5
+    with pytest.raises(DomainError):
+        ls.earliest_arrival("s", 2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="label start"):
+            compute_labels(net, "t", {0: shift(1.0), 1: shift(2.5)}, start=bad)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -378,6 +378,25 @@ def test_sweep_grid_order_and_uncongested_ties():
     assert rows[3][2] >= rows[1][2] - 1e-9
 
 
+def test_sweep_pool_is_capped_at_the_task_count(pool_sizes):
+    scenario = two_routes()
+    rows = run_sweep(scenario, [0.5, 4.0], ["zero"], jobs=5000)
+    assert pool_sizes == [2]
+    assert rows == run_sweep(scenario, [0.5, 4.0], ["zero"])
+    run_sweep(scenario, [0.5], ["zero"], jobs=5000)  # one task: no pool
+    assert pool_sizes == [2]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(scenario, [0.5], ["zero"], jobs=jobs)
+    assert pool_sizes == [2]
+
+
+def test_sweep_in_two_processes_matches_the_serial_rows():
+    scenario = two_routes()
+    serial = run_sweep(scenario, [0.5, 4.0], ["linear"])
+    assert run_sweep(scenario, [0.5, 4.0], ["linear"], jobs=2) == serial
+
+
 def test_sweep_variant_rescales_inflow():
     scenario = two_routes()
     v = sweep_variant(scenario, 6.0, "linear")
@@ -410,9 +429,9 @@ def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
         calls.append([])
         return real_history(state, now)
 
-    def labels(net, sink, exit_fns, tol):
-        calls[-1].append(sink)
-        return real_labels(net, sink, exit_fns, tol)
+    def labels(net, sink, exit_fns, tol, *, start):
+        calls[-1].append(start)
+        return real_labels(net, sink, exit_fns, tol, start=start)
 
     monkeypatch.setattr(simulation, "QueueHistory", history)
     monkeypatch.setattr(simulation, "compute_labels", labels)
@@ -423,6 +442,8 @@ def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
         pairs = {(comms[i].predictor_spec["kind"], comms[i].sink)
                  for i, _ in record.active_queries}
         assert len(round_calls) <= len(pairs)
+        # labels are asked for from the round start on
+        assert all(start == record.time for start in round_calls)
     assert sum(map(len, calls)) > 0
     assert shared.events == plain.events
     assert ([r.active_queries for r in shared.rounds]
