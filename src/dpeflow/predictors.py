@@ -57,6 +57,10 @@ class QueueHistory:
         last recorded breakpoint, the slope of the last piece."""
         return self._state.queue_left_slope(edge_id, self.now)
 
+    @property
+    def edges(self):
+        return self._state.network.edges
+
     def in_edges(self, node: str):
         return self._state.network.in_edges[node]
 
@@ -251,27 +255,88 @@ class RegressionPredictor:
     edges entering its tail, clamped at zero.  The forecast interpolates
     linearly through the predicted samples, anchored at the observed q(now),
     and is post-fixed so induced exit times never decrease.
+
+    The first forecast from a :class:`QueueHistory` predicts the samples of
+    every edge in one array pass, reading each (edge, lag) queue once, and
+    later forecasts from the same history take theirs from it.  The pass
+    sums the products of weights and features left to right from +0.0 and
+    then adds the intercept, as ``row[0] + sum(...)`` does, so every sample
+    is bit-identical to the one-edge formula.  The model's coefficients are
+    read at the first forecast; an edge without coefficients raises when it
+    is forecast.
     """
 
     kind = "regression"
 
     def __init__(self, model: "RegressionModel"):
         self.model = model
+        # (network edges, feature index, coefficients, edges without them)
+        self._layout = None
+        # (history, q(now) per edge, samples per edge)
+        self._batch = None
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
-        model = self.model
-        now = history.now
-        edge = history.edge(edge_id)
-        feats = model.features(history, edge_id)
-        pts = [(now, history.queue(edge_id, now))]
-        coef = model.coefficients_for(edge_id)
-        for j in range(1, model.samples + 1):
-            row = coef[j - 1]
-            val = row[0] + sum(c * x for c, x in zip(row[1:], feats))
-            pts.append((now + j * model.sample_step, max(val, 0.0)))
-        pts, fixes = fifo_fix(pts, edge.capacity)
+        batch = self._batch
+        if batch is None or batch[0] is not history:
+            batch = self._batch = self._forecast_all(history)
+        _, q_now, samples = batch
+        rows = samples[edge_id]
+        if rows is None:
+            self.model.coefficients_for(edge_id)  # raises, naming the edge
+        now, step = history.now, self.model.sample_step
+        pts = [(now, q_now[edge_id])]
+        pts.extend((now + j * step, q) for j, q in enumerate(rows, 1))
+        pts, fixes = fifo_fix(pts, history.edge(edge_id).capacity)
         fn = from_points(pts, slope_after=0.0)
         return PredictedQueue(edge_id, now, fn, fifo_fixes=fixes)
+
+    def _forecast_all(self, history: QueueHistory):
+        import numpy as np
+
+        model = self.model
+        edges = history.edges
+        if self._layout is None or self._layout[0] is not edges:
+            self._layout = self._build_layout(history)
+        _, index, coef, missing = self._layout
+        now = history.now
+        q_now = [history.queue(e.id, now) for e in edges]
+        # one row per edge and a last row of zeros, the padding feature
+        lagged = np.zeros((len(edges) + 1, model.lags))
+        for e in edges:
+            lagged[e.id] = [history.queue(e.id, now - lag * model.sample_step)
+                            for lag in range(1, model.lags + 1)]
+        feats = lagged[index].reshape(len(edges), -1)
+        total = np.zeros(coef.shape[:2])
+        for k in range(feats.shape[1]):
+            total = total + coef[:, :, k + 1] * feats[:, None, k]
+        vals = coef[:, :, 0] + total
+        # max(val, 0.0): keeps val unless 0.0 is larger, a -0.0 included
+        samples = np.where(0.0 > vals, 0.0, vals).tolist()
+        for eid in missing:
+            samples[eid] = None
+        return history, q_now, samples
+
+    def _build_layout(self, history: QueueHistory):
+        """Feature rows and coefficients of every edge, as arrays."""
+        import numpy as np
+
+        model = self.model
+        edges = history.edges
+        pad = len(edges)
+        width = 1 + (1 + model.neighborhood_radius) * model.lags
+        index, coef, missing = [], [], []
+        for e in edges:
+            neighbors = [x.id for x in history.in_edges(e.tail)
+                         if x.id != e.id][: model.neighborhood_radius]
+            index.append([e.id] + neighbors + [pad] * (
+                model.neighborhood_radius - len(neighbors)))
+            rows = model.coefficients.get(e.id, model.coefficients.get(-1))
+            if rows is None:
+                missing.append(e.id)
+                rows = [[0.0] * width] * model.samples
+            coef.append(rows)
+        return (edges, np.array(index, dtype=np.intp),
+                np.array(coef, dtype=float), missing)
 
 
 # ----------------------------------------------------------------- regression
@@ -306,20 +371,6 @@ class RegressionModel:
             return self.coefficients[-1]
         raise ValueError(f"regression model has no coefficients for edge "
                          f"{edge_id} and no shared set (key -1)")
-
-    def features(self, history: QueueHistory, edge_id: int) -> list[float]:
-        now = history.now
-        edge = history.edge(edge_id)
-        neighbors = [e.id for e in history.in_edges(edge.tail)
-                     if e.id != edge_id][: self.neighborhood_radius]
-        feats = []
-        for eid in [edge_id] + neighbors:
-            for lag in range(1, self.lags + 1):
-                feats.append(history.queue(eid, now - lag * self.sample_step))
-        # zero-pad when the tail has fewer incoming edges than the radius
-        feats.extend([0.0] * ((self.neighborhood_radius - len(neighbors))
-                              * self.lags))
-        return feats
 
     def save(self, path) -> None:
         payload = {

@@ -22,32 +22,46 @@ function space (Dreyfus 1969; Orda and Rom 1990), restricted to departures
 at or after the decision time ``start``.  An exit time is at least the
 departure time plus the transit time, so l_v on [start, inf) reads l_w on
 [start, inf) only.  Each exit function is cut there by
-``pwl.restrict_from``, so no label but the sink's identity holds a
-breakpoint before ``start``; the labels are exact from ``start`` on, and
-``LabelSet`` refuses earlier reads.  Correction runs in pull order: a FIFO
-queue holds the nodes whose label may be out of date, starting with the
-sink's in-neighbors.  Popping a node recomputes its label once, from the
-current labels of its out-neighbors; only if the label changed are its
-in-neighbors queued, each at most once at a time.  A node's candidate
-through an out-edge e = (v, w) is l_w composed with the exit time of e; it
-is kept per edge and recomposed only once l_w has been replaced, so a
-recomputation redoes only the edges whose heads changed.  Each candidate and
-each label is pruned once, inside ``compose_monotone`` and ``pointwise_min``
-that build it.  Predicted exit times always exceed the departure time by at
-least the transit time, so optimal arrivals are attained by simple paths.
-The FIFO queue processes nodes in Bellman-Ford passes, each popping a node
-at most once, and a node is popped after every change that queued it, in the
-same pass or the next.  So a node whose best path has k edges holds its
-final label after pass k, labels settle within |V| - 1 passes, and a node
-popped more than |V| + 2 times signals a malformed exit-time function and
-aborts.
+``pwl.restrict_from``, once per exit table when the label sets of several
+sinks share one (``compute_labels(..., restricted=...)``), so no label but
+the sink's identity holds a breakpoint before ``start``; the labels are
+exact from ``start`` on, and ``LabelSet`` refuses earlier reads.
+
+Correction relaxes edges in label order, as for FIFO time-dependent
+networks (Dean 2004).  A pass is a heap of nodes keyed on their label's
+value at ``start`` (at 0 for whole-line labels), ties broken by a counter;
+the first pass starts from the sink.  Popping w relaxes each in-edge
+e = (v, w):
+
+- the edge is skipped, without composing, when the excesses l(t) - t on
+  [start, inf) prove l_w(T_e(t)) >= l_v(t): max(l_v - t), plus an EPS
+  margin, is at most min(l_w - t) + min(T_e - t).  The extremes are read
+  at ``start`` and at the breakpoints after it, because a label may be flat
+  from ``start`` to its first breakpoint;
+- otherwise the candidate l_w composed with T_e becomes v's label if v has
+  none;
+- otherwise it replaces v's label by ``pointwise_min`` of the two, if it
+  lies below that label somewhere on [start, inf) by more than EPS
+  relative (on the merged grid and both tails).
+
+A changed node not yet popped in this pass is pushed with its new key; one
+popped already waits for the next pass.  Each candidate and each label is
+pruned once, inside ``compose_monotone`` and ``pointwise_min`` that build
+it.  Predicted exit times exceed the departure time by at least the transit
+time, so keys only grow along the first pass (it pops in Dijkstra order)
+and optimal arrivals are attained by simple paths.  Every pass pops a node
+at most once, and a node is popped after every change, in the same pass or
+the next, so each (edge, head label) pair is composed at most once.  As in
+Bellman-Ford, a node whose best path has k edges holds its final label
+after pass k, labels settle within |V| - 1 passes, and a node popped more
+than |V| + 2 times signals a malformed exit-time function and aborts.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import count
@@ -75,8 +89,9 @@ class LabelSet:
     """Earliest-arrival labels toward one sink, plus the exit times used.
 
     The labels are exact from ``start`` on, the decision time they were
-    computed for (``-inf`` for the whole line); ``exit_fns`` are the whole
-    exit-time functions.  Reading a label before ``start`` raises
+    computed for (``-inf`` for the whole line); ``exit_fns`` are the
+    exit-time functions they were computed on, cut at ``start`` when label
+    correction ran.  Reading a label before ``start`` raises
     :class:`~dpeflow.pwl.DomainError`.
     """
 
@@ -122,29 +137,37 @@ class LabelSet:
 def compute_labels(network: Network, sink: str,
                    exit_fns: dict[int, PiecewiseLinearFn],
                    active_tolerance: float = ACTIVE_TOLERANCE, *,
-                   start: float = -math.inf) -> LabelSet:
+                   start: float = -math.inf,
+                   restricted: dict[int, PiecewiseLinearFn] | None = None,
+                   ) -> LabelSet:
     """Earliest-arrival labels toward ``sink`` under the given exit times,
     exact for departures at or after ``start`` (the whole line by default).
 
     One Dijkstra when every exit time is a positive shift, backward label
     correction on the exit times restricted to [start, inf) otherwise (see
-    the module docstring for why that suffices).
+    the module docstring for why that suffices).  ``restricted`` is a dict
+    shared by the calls on one exit table and one ``start``: the first call
+    that runs label correction fills it with the table cut at ``start``, and
+    the later ones reuse that cut.
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
     if start != -math.inf and not math.isfinite(start):
         raise ValueError(f"label start must be finite or -inf, got {start!r}")
-    shifts = _positive_shifts(exit_fns)
+    table = dict(exit_fns)
+    shifts = _positive_shifts(table)
     if shifts is not None:
         labels = _shift_labels(network, sink, shifts)
     else:
-        restricted = exit_fns
         if start != -math.inf:
-            restricted = {eid: restrict_from(f, start)
-                          for eid, f in exit_fns.items()}
-        labels = _corrected_labels(network, sink, restricted)
-    return LabelSet(network, sink, labels, dict(exit_fns), active_tolerance,
-                    start)
+            if restricted is None:
+                restricted = {}
+            if not restricted:
+                restricted.update((eid, restrict_from(f, start))
+                                  for eid, f in table.items())
+            table = restricted
+        labels = _corrected_labels(network, sink, table, start)
+    return LabelSet(network, sink, labels, table, active_tolerance, start)
 
 
 def _positive_shifts(exit_fns):
@@ -218,64 +241,114 @@ class _ShiftLabels(Mapping):
         return len(self._dist)
 
 
-def _corrected_labels(network, sink, exit_fns):
-    """Backward label correction from ``sink`` under the given exit times."""
+def _corrected_labels(network, sink, exit_fns, start):
+    """Backward label correction from ``sink`` under the given exit times,
+    by relaxation in label-ordered passes (see the module docstring)."""
+    at = 0.0 if start == -math.inf else start
     labels: dict[str, PiecewiseLinearFn] = {sink: identity_fn()}
-    # edge id -> (head label, its composition with the edge's exit time)
-    composed: dict[int, tuple[PiecewiseLinearFn, PiecewiseLinearFn]] = {}
-    pending = deque()
-    queued = set()
-
-    def queue_tails(w):
-        for e in network.in_edges[w]:
-            if e.tail != sink and e.tail not in queued:
-                pending.append(e.tail)
-                queued.add(e.tail)
-
-    queue_tails(sink)
-    pops = {v: 0 for v in network.nodes}
+    # node -> (min, max) of its label's excess l(t) - t on [start, inf)
+    excess = {sink: (0.0, 0.0)}
+    edge_floor: dict[int, float] = {}   # edge id -> min of T_e(t) - t
+    pops = dict.fromkeys(network.nodes, 0)
     pop_cap = len(network.nodes) + 2
-
-    while pending:
-        v = pending.popleft()
-        queued.discard(v)
-        pops[v] += 1
-        if pops[v] > pop_cap:
-            raise ConvergenceError(
-                f"label of {v!r} keeps improving; "
-                "an exit-time function must be rewinding time")
-        new = _best_label(network, v, labels, exit_fns, composed)
-        old = labels.get(v)
-        if old is None or _labels_differ(old, new):
-            labels[v] = new
-            queue_tails(v)
-
+    # the counter breaks key ties, so node ids are never compared
+    tie = count()
+    heap = [(at, next(tie), sink)]
+    while heap:
+        done = set()
+        later = {}   # nodes changed after their pop, in order of change
+        while heap:
+            _, _, w = heapq.heappop(heap)
+            if w in done:
+                continue   # stale: w was pushed again when it improved
+            done.add(w)
+            pops[w] += 1
+            if pops[w] > pop_cap:
+                raise ConvergenceError(
+                    f"label of {w!r} keeps improving; "
+                    "an exit-time function must be rewinding time")
+            head, head_floor = labels[w], excess[w][0]
+            for e in network.in_edges[w]:
+                v = e.tail
+                if v == sink:
+                    continue
+                old = labels.get(v)
+                if old is not None:
+                    floor = edge_floor.get(e.id)
+                    if floor is None:
+                        floor = edge_floor[e.id] = _excess(exit_fns[e.id],
+                                                           start)[0]
+                    # l_w(T_e(t)) - t >= head_floor + floor >= l_v(t) - t
+                    top = excess[v][1]
+                    if top + EPS * max(1.0, abs(top)) <= head_floor + floor:
+                        continue
+                new = compose_monotone(head, exit_fns[e.id])
+                if old is not None:
+                    if not _undercuts(new, old, start):
+                        continue
+                    new = pointwise_min([old, new])
+                labels[v] = new
+                excess[v] = _excess(new, start)
+                if v in done:
+                    later[v] = None
+                else:
+                    heapq.heappush(heap, (new(at), next(tie), v))
+        heap = [(labels[v](at), next(tie), v) for v in later]
+        heapq.heapify(heap)
     return labels
 
 
-def _best_label(network, v, labels, exit_fns, composed):
-    candidates = []
-    for e in network.out_edges[v]:
-        head = labels.get(e.head)
-        if head is None:
-            continue
-        hit = composed.get(e.id)
-        if hit is None or hit[0] is not head:
-            hit = (head, compose_monotone(head, exit_fns[e.id]))
-            composed[e.id] = hit
-        candidates.append(hit[1])
-    return pointwise_min(candidates)
+def _excess(f: PiecewiseLinearFn, start: float) -> tuple[float, float]:
+    """Min and max of f(t) - t over [start, inf), either possibly infinite.
+
+    f - t is linear between breakpoints, so the extremes lie at ``start``
+    (f's value there, which may sit on a flat stretch before f's first
+    breakpoint), at the breakpoints after it, or on a tail.
+    """
+    times, values = f.times, f.values
+    if start == -math.inf:
+        lo = hi = values[0] - times[0]
+        s = f.slope_before_first
+        if s < 1.0:
+            hi = math.inf
+        elif s > 1.0:
+            lo = -math.inf
+        i = 1
+    else:
+        lo = hi = f(start) - start
+        i = bisect_right(times, start)
+    for t, v in zip(times[i:], values[i:]):
+        x = v - t
+        if x < lo:
+            lo = x
+        elif x > hi:
+            hi = x
+    s = f.slope_after_last
+    if s > 1.0:
+        hi = math.inf
+    elif s < 1.0:
+        lo = -math.inf
+    return lo, hi
 
 
-def _labels_differ(a: PiecewiseLinearFn, b: PiecewiseLinearFn) -> bool:
-    # PL functions agreeing on both kink sets and boundary slopes agree
-    # everywhere, so this comparison is exact up to EPS, relative to the
-    # larger of the two slopes or values (and at least 1)
-    def differ(x, y):
-        return abs(x - y) > EPS * max(1.0, abs(x), abs(y))
+def _undercuts(a: PiecewiseLinearFn, b: PiecewiseLinearFn,
+               start: float) -> bool:
+    """Whether ``a`` lies below ``b`` somewhere on [start, inf), by more
+    than EPS relative to the larger of the two slopes or values (and at
+    least 1).
 
-    if (differ(a.slope_before_first, b.slope_before_first)
-            or differ(a.slope_after_last, b.slope_after_last)):
+    Both are linear between the points of their merged grid (with
+    ``start``) and on their tails, so the grid and the tail slopes decide.
+    """
+    def below(x, y):
+        return y - x > EPS * max(1.0, abs(x), abs(y))
+
+    if below(a.slope_after_last, b.slope_after_last):
         return True
-    grid = sorted(a.times + b.times)
-    return any(map(differ, _sample(a, grid), _sample(b, grid)))
+    if start == -math.inf:
+        if below(b.slope_before_first, a.slope_before_first):
+            return True
+        grid = sorted(a.times + b.times)
+    else:
+        grid = [start] + sorted(t for t in a.times + b.times if t > start)
+    return any(map(below, _sample(a, grid), _sample(b, grid)))

@@ -133,7 +133,9 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         record = RoundRecord(k, round_start)
         history = QueueHistory(state, round_start)
         label_cache: dict[tuple[str, str], LabelSet] = {}
-        exit_cache: dict[str, dict] = {}
+        # spec key -> its exit table and that table cut at the round start,
+        # which the spec's label sets share
+        exit_cache: dict[str, tuple[dict, dict]] = {}
         exit_built = 0
 
         def labels_for(i: int) -> LabelSet:
@@ -141,15 +143,15 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             spec_key, sink = spec_keys[i], comms[i].sink
             ls = label_cache.get((spec_key, sink))
             if ls is None:
-                exit_fns = exit_cache.get(spec_key)
-                if exit_fns is None:
+                tables = exit_cache.get(spec_key)
+                if tables is None:
                     exit_fns, built = _exit_fns(predictors[i], history, net,
                                                 free_flow)
                     exit_built += built
-                    exit_cache[spec_key] = exit_fns
-                ls = compute_labels(net, sink, exit_fns,
+                    tables = exit_cache[spec_key] = (exit_fns, {})
+                ls = compute_labels(net, sink, tables[0],
                                     scenario.active_tolerance,
-                                    start=round_start)
+                                    start=round_start, restricted=tables[1])
                 label_cache[(spec_key, sink)] = ls
             return ls
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dpeflow.flow_state import FlowOverTime
@@ -15,13 +16,14 @@ from dpeflow.predictors import (
     RegressionPredictor,
     RegularizedLinearPredictor,
     ThresholdPredictor,
+    PredictedQueue,
     ZeroPredictor,
     build_predictor,
     exit_time_fn,
     fifo_fix,
     train_regression,
 )
-from dpeflow.pwl import PiecewiseLinearFn, constant_fn
+from dpeflow.pwl import PiecewiseLinearFn, constant_fn, from_points
 
 
 class FakeState:
@@ -292,6 +294,100 @@ def test_regression_forecast_respects_fifo_after_fix():
     assert p.fifo_fixes >= 1
     T = exit_time_fn(p, transit_time=1.0, capacity=1.0)
     assert T.is_nondecreasing()
+
+
+def per_edge_forecast(model, history, edge_id):
+    """The regression forecast of one edge, one dot product per sample."""
+    now = history.now
+    edge = history.edge(edge_id)
+    neighbors = [e.id for e in history.in_edges(edge.tail)
+                 if e.id != edge_id][: model.neighborhood_radius]
+    feats = []
+    for eid in [edge_id] + neighbors:
+        for lag in range(1, model.lags + 1):
+            feats.append(history.queue(eid, now - lag * model.sample_step))
+    feats.extend([0.0] * ((model.neighborhood_radius - len(neighbors))
+                          * model.lags))
+    pts = [(now, history.queue(edge_id, now))]
+    coef = model.coefficients_for(edge_id)
+    for j in range(1, model.samples + 1):
+        row = coef[j - 1]
+        val = row[0] + sum(c * x for c, x in zip(row[1:], feats))
+        pts.append((now + j * model.sample_step, max(val, 0.0)))
+    pts, fixes = fifo_fix(pts, edge.capacity)
+    return PredictedQueue(edge_id, now, from_points(pts, slope_after=0.0),
+                          fifo_fixes=fixes)
+
+
+def hexed(predicted):
+    f = predicted.fn
+    return ([x.hex() for x in (*f.times, *f.values, f.slope_before_first,
+                               f.slope_after_last)],
+            f is constant_fn(0.0), predicted.fifo_fixes)
+
+
+# tails with no, one, two and three in-edges; a parallel pair
+BATCH_NET = Network(["a", "b", "c", "d"],
+                    [("a", "b", 1.0, 1.0), ("b", "c", 1.0, 2.0),
+                     ("c", "d", 1.0, 0.5), ("d", "b", 1.0, 1.5),
+                     ("a", "c", 1.0, 1.0), ("c", "b", 1.0, 1.0),
+                     ("d", "c", 1.0, 3.0), ("d", "c", 1.0, 1.0)])
+
+
+def random_queue(rng):
+    ts = np.unique(np.round(rng.uniform(0.0, 12.0, 5), 2))
+    qs = np.round(rng.uniform(-1.0, 6.0, len(ts)), 2)
+    return PiecewiseLinearFn(tuple(ts.tolist()), tuple(qs.tolist()), 0.0,
+                             float(rng.uniform(-0.5, 0.5)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_regression_matches_the_per_edge_formula(seed):
+    rng = np.random.default_rng(seed)
+    lags, samples = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    radius = int(rng.integers(0, 4))
+    width = 1 + (1 + radius) * lags
+
+    def rows():
+        return rng.normal(0.0, 1.0, (samples, width)).round(3).tolist()
+
+    fns = {e.id: random_queue(rng) for e in BATCH_NET.edges}
+    # an edge empty to date, whose samples are -0.0 (queue_at clamps with
+    # max, which keeps the sign) and an intercept of -0.0 on that edge
+    fns[3] = PiecewiseLinearFn((0.0, 20.0), (-0.0, -0.0), 0.0, 0.0)
+    coefficients = {e.id: rows() for e in BATCH_NET.edges if e.id != 5}
+    coefficients[3][0][0] = -0.0
+    shared = {-1: rows()}
+    step = float(rng.choice([0.5, 1.0, 1.5]))
+    for coef in (coefficients, shared, {**shared, **coefficients}):
+        model = RegressionModel(lags, samples, step, radius, coef)
+        state = FakeState(BATCH_NET, fns)
+        reads = []
+        queue_at = state.queue_at
+
+        def counted(eid, t):
+            reads.append((eid, t))
+            return queue_at(eid, t)
+
+        state.queue_at = counted
+        now = float(rng.uniform(0.0, 14.0))
+        history = QueueHistory(state, now)
+        batched = RegressionPredictor(model)
+        for e in BATCH_NET.edges:
+            want = None
+            if -1 in coef or e.id in coef:
+                want = per_edge_forecast(
+                    model, QueueHistory(FakeState(BATCH_NET, fns), now), e.id)
+            if want is None:
+                # only the edge without coefficients raises, when forecast
+                with pytest.raises(ValueError, match="no coefficients for "
+                                   f"edge {e.id} "):
+                    batched.predict(history, e.id)
+            else:
+                assert hexed(batched.predict(history, e.id)) == hexed(want)
+        # q(now) and each lag of each edge, read once
+        assert len(reads) == len(BATCH_NET.edges) * (1 + lags)
+        assert hexed(batched.predict(history, 3))[1] is False
 
 
 def test_model_save_load_round_trip(tmp_path):

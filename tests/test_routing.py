@@ -1,5 +1,6 @@
+import heapq
 import math
-from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +13,16 @@ from dpeflow.pwl import (
     DomainError,
     NotMonotoneError,
     PiecewiseLinearFn,
+    _sample,
     compose_monotone,
     identity_fn,
+    pointwise_min,
+    restrict_from,
 )
 from dpeflow.routing import (
     ConvergenceError,
-    LabelSet,
-    _labels_differ,
     _positive_shifts,
+    _undercuts,
     compute_labels,
 )
 
@@ -323,7 +326,9 @@ def test_labels_from_start_agree_with_whole_line_labels(seed, extra):
     # before, inside and after the exit functions' breakpoints
     for start in (-3.0, 0.0, 4.25, 11.0, float(rng.uniform(0.0, 20.0)), 26.0):
         part = compute_labels(net, sink, exit_fns, start=start)
-        assert part.start == start and part.exit_fns == whole.exit_fns
+        # the label set keeps the exit functions it corrected labels on
+        assert part.start == start and part.exit_fns == {
+            eid: restrict_from(f, start) for eid, f in exit_fns.items()}
         assert part.labels.keys() == whole.labels.keys()
         for v, label in part.labels.items():
             # the sink keeps the identity, exact on the whole line
@@ -348,39 +353,149 @@ def test_labels_from_start_on_the_shift_path():
             compute_labels(net, "t", {0: shift(1.0), 1: shift(2.5)}, start=bad)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_label_correction_redoes_only_what_changed(seed, monkeypatch):
-    # every pop recomputes one label, and an edge is composed again only
-    # after its head's label was replaced
+def reference_labels(network, sink, exit_fns, start=-math.inf):
+    """Label correction in pull order, as routing did it before relaxation:
+    a FIFO queue of nodes whose label may be stale, each pop recomputing one
+    label from all out-edges, each edge recomposed only after its head's
+    label was replaced."""
+    if start != -math.inf:
+        exit_fns = {eid: restrict_from(f, start)
+                    for eid, f in exit_fns.items()}
+    labels = {sink: identity_fn()}
+    composed = {}
+    pending, queued = [], set()
+
+    def queue_tails(w):
+        for e in network.in_edges[w]:
+            if e.tail != sink and e.tail not in queued:
+                pending.append(e.tail)
+                queued.add(e.tail)
+
+    def differ(x, y):
+        return abs(x - y) > EPS * max(1.0, abs(x), abs(y))
+
+    def labels_differ(a, b):
+        if (differ(a.slope_before_first, b.slope_before_first)
+                or differ(a.slope_after_last, b.slope_after_last)):
+            return True
+        grid = sorted(a.times + b.times)
+        return any(map(differ, _sample(a, grid), _sample(b, grid)))
+
+    queue_tails(sink)
+    while pending:
+        v = pending.pop(0)
+        queued.discard(v)
+        candidates = []
+        for e in network.out_edges[v]:
+            head = labels.get(e.head)
+            if head is None:
+                continue
+            hit = composed.get(e.id)
+            if hit is None or hit[0] is not head:
+                hit = composed[e.id] = (head,
+                                        compose_monotone(head, exit_fns[e.id]))
+            candidates.append(hit[1])
+        new = pointwise_min(candidates)
+        old = labels.get(v)
+        if old is None or labels_differ(old, new):
+            labels[v] = new
+            queue_tails(v)
+    return labels
+
+
+def assert_match_reference(got, want, start):
+    """Every label agrees within EPS relative on [start, inf)."""
+    assert got.keys() == want.keys()
+    for v, label in got.items():
+        ref = want[v]
+        assert_agree_from(label, ref, start if start != -math.inf
+                          else min(label.times + ref.times))
+        if start == -math.inf:
+            assert abs(label.slope_before_first - ref.slope_before_first) \
+                <= EPS * max(1.0, abs(ref.slope_before_first))
+
+
+@pytest.mark.parametrize("seed, extra", RESTRICTED_INSTANCES)
+def test_labels_match_the_pull_order_reference(seed, extra):
+    rng = np.random.default_rng(seed)
+    net, exit_fns, sink = random_instance(rng, int(rng.integers(4, 9)))
+    if extra is not None:
+        net, exit_fns = with_extra_edges(rng, net, sink, extra)
+    for start in (-math.inf, 0.0, 4.25, float(rng.uniform(0.0, 20.0))):
+        got = compute_labels(net, sink, exit_fns, start=start).labels
+        assert_match_reference(got, reference_labels(net, sink, exit_fns,
+                                                     start), start)
+
+
+def test_edge_bound_reads_labels_at_the_start():
+    # v's label is flat at 10 from the start 0 to 6 and t + 4 after it, and
+    # keeps no breakpoint at 0: its largest excess l(t) - t, 10, lies at the
+    # start, and at its breakpoints the excess is only 4.  The route through
+    # w arrives at t + 8, earlier near the start; a bound that read the
+    # label at its breakpoints alone would skip that edge.
+    net = Network(["v", "w", "t"],
+                  [("v", "t", 1.0, 1.0), ("v", "t", 1.0, 1.0),
+                   ("v", "w", 1.0, 1.0), ("w", "t", 1.0, 1.0)])
+    exit_fns = {0: PiecewiseLinearFn((5.0,), (10.0,), 0.0, 1.0),
+                1: PiecewiseLinearFn((6.0,), (10.0,), 0.0, 1.0),
+                2: shift(5.0), 3: shift(3.0)}
+    ls = compute_labels(net, "t", exit_fns, start=0.0)
+    assert ls.earliest_arrival("v", 0.0) == 8.0
+    assert ls.earliest_arrival("v", 7.0) == 11.0
+    assert [e.id for e in ls.active_edges("v", 0.0)] == [2]
+    assert_match_reference(ls.labels, reference_labels(net, "t", exit_fns,
+                                                       0.0), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relaxation_passes_pop_in_label_order(seed, monkeypatch):
+    # each (edge, head label) pair is composed at most once, each node is
+    # popped at most once per pass, and the first pass pops in key order
     rng = np.random.default_rng(seed)
     net, exit_fns, sink = random_instance(rng, int(rng.integers(6, 10)))
     assert _positive_shifts(exit_fns) is None
-    composed, pops, best = [], 0, 0
+    log, composed, heaps = [], [], []
 
     def compose(outer, inner):
         composed.append((outer, inner))  # holding them keeps ids unique
         return compose_monotone(outer, inner)
 
-    class CountingDeque(deque):
-        def popleft(self):
-            nonlocal pops
-            pops += 1
-            return super().popleft()
+    def heappop(heap):
+        if not heaps or heaps[-1] is not heap:
+            heaps.append(heap)
+        entry = heapq.heappop(heap)
+        log.append((len(heaps) - 1, entry[0], entry[2]))
+        return entry
 
-    def best_label(*args):
-        nonlocal best
-        best += 1
-        return best_label_of(*args)
+    class RelaxedFrom(dict):
+        # a pop that is not skipped reads the in-edges of its node
+        def __getitem__(self, w):
+            assert log[-1][2] == w
+            relaxed.append(log[-1])
+            return super().__getitem__(w)
 
-    best_label_of = routing._best_label
+    relaxed = []
+    net.in_edges = RelaxedFrom(net.in_edges)
     monkeypatch.setattr(routing, "compose_monotone", compose)
-    monkeypatch.setattr(routing, "deque", CountingDeque)
-    monkeypatch.setattr(routing, "_best_label", best_label)
-    compute_labels(net, sink, exit_fns)
-    edge_of = {id(f): eid for eid, f in exit_fns.items()}
-    pairs = [(edge_of[id(inner)], id(outer)) for outer, inner in composed]
-    assert len(pairs) == len(set(pairs))
-    assert best == pops > 0
+    monkeypatch.setattr(routing, "heapq", SimpleNamespace(
+        heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify))
+    for start in (-math.inf, 3.0):
+        for record in (log, composed, heaps, relaxed):
+            record.clear()
+        ls = compute_labels(net, sink, exit_fns, start=start)
+        edge_of = {id(f): eid for eid, f in ls.exit_fns.items()}
+        pairs = [(edge_of[id(inner)], id(outer)) for outer, inner in composed]
+        assert len(pairs) == len(set(pairs))
+        passes = {}
+        for k, key, v in relaxed:
+            passes.setdefault(k, []).append((key, v))
+        for popped in passes.values():
+            nodes = [v for _, v in popped]
+            assert len(nodes) == len(set(nodes))
+        keys = [key for key, _ in passes[0]]
+        assert {v for _, v in passes[0]} == set(ls.labels)
+        for a, b in zip(keys, keys[1:]):
+            assert b >= a - EPS * max(1.0, abs(a))
 
 
 # --------------------------------------------------------------- active edges
@@ -430,14 +545,39 @@ def test_labels_one_float_step_apart_do_not_differ():
                                         1.1e5 + 10.0), 1.0, 1.0)
     assert a.values != b.values
     assert abs(a(0.0) - b(0.0)) > 10 * EPS
-    assert not _labels_differ(a, b)
+    for start in (-math.inf, -1.0, 0.0):
+        assert not _undercuts(a, b, start) and not _undercuts(b, a, start)
     c = PiecewiseLinearFn((0.0, 10.0), (1.1e5 + 1e-4, 1.1e5 + 10.0), 1.0, 1.0)
-    assert _labels_differ(a, c)
+    assert _undercuts(a, c, 0.0) and not _undercuts(c, a, 0.0)
+    # only from the start on: at 10 and after, a and c agree
+    assert not _undercuts(a, c, 10.0)
     # slopes compare relatively too: 2 vs 2 + 1e-11 differs, a float step not
     d = PiecewiseLinearFn(a.times, a.values, 1.0, 2.0)
-    assert not _labels_differ(d, PiecewiseLinearFn(
-        a.times, a.values, 1.0, math.nextafter(2.0, math.inf)))
-    assert _labels_differ(d, PiecewiseLinearFn(a.times, a.values, 1.0, 2.0 + 1e-11))
+    assert not _undercuts(d, PiecewiseLinearFn(
+        a.times, a.values, 1.0, math.nextafter(2.0, math.inf)), 0.0)
+    assert _undercuts(d, PiecewiseLinearFn(a.times, a.values, 1.0,
+                                           2.0 + 1e-11), 0.0)
+    # a left tail counts on the whole line only
+    e = PiecewiseLinearFn(a.times, a.values, 2.0, 1.0)
+    assert _undercuts(e, a, -math.inf) and not _undercuts(e, a, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_time_rewinding_cycle_in_a_larger_network_aborts(seed):
+    # a two-edge cycle that rewinds time by 1 on each edge, between two
+    # nodes that both reach the sink along the spine
+    rng = np.random.default_rng(seed)
+    net, exit_fns, sink = random_instance(rng, 9)
+    a, b = net.nodes[2], net.nodes[5]
+    net = Network(list(net.nodes), [(e.tail, e.head, 1.0, 1.0)
+                                    for e in net.edges]
+                  + [(a, b, 1.0, 1.0), (b, a, 1.0, 1.0)])
+    rewind = PiecewiseLinearFn((0.0,), (-1.0,), 1.0, 1.0)
+    exit_fns = {**exit_fns, len(net.edges) - 2: rewind,
+                len(net.edges) - 1: rewind}
+    for start in (-math.inf, 2.0):
+        with pytest.raises(ConvergenceError, match="rewinding"):
+            compute_labels(net, sink, exit_fns, start=start)
 
 
 def test_decreasing_exit_fn_rejected():

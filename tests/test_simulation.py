@@ -14,7 +14,7 @@ from dpeflow.network import (
     load_scenario,
     random_commodities,
 )
-from dpeflow import simulation
+from dpeflow import routing, simulation
 from dpeflow.flow_state import FlowOverTime
 from dpeflow.predictors import (
     LinearPredictor,
@@ -429,9 +429,10 @@ def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
         calls.append([])
         return real_history(state, now)
 
-    def labels(net, sink, exit_fns, tol, *, start):
+    def labels(net, sink, exit_fns, tol, *, start, restricted):
         calls[-1].append(start)
-        return real_labels(net, sink, exit_fns, tol, start=start)
+        return real_labels(net, sink, exit_fns, tol, start=start,
+                           restricted=restricted)
 
     monkeypatch.setattr(simulation, "QueueHistory", history)
     monkeypatch.setattr(simulation, "compute_labels", labels)
@@ -449,6 +450,51 @@ def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
     assert ([r.active_queries for r in shared.rounds]
             == [r.active_queries for r in plain.rounds])
     assert compute_metrics(shared) == compute_metrics(plain)
+
+
+def test_exit_tables_are_cut_once_per_spec_and_round(monkeypatch):
+    # two sinks share each round's linear exit table, which is cut at the
+    # round start once; the shift-only zero table is never cut
+    net = Network(["s", "a", "t"],
+                  [("s", "a", 1.0, 1.0), ("a", "t", 1.0, 1.0),
+                   ("s", "t", 2.5, 1.0), ("a", "t", 2.0, 1.0)])
+    comms = (
+        Commodity(0, "s", "t", block_inflow(3.0, 4.0), {"kind": "linear"}),
+        Commodity(1, "s", "a", block_inflow(2.0, 5.0), {"kind": "linear"}),
+        Commodity(2, "s", "t", block_inflow(1.0, 3.0), {"kind": "zero"}),
+    )
+    scenario = Scenario(network=net, commodities=comms, prediction_step=0.5,
+                        horizon=12.0)
+    plain = run(scenario)
+
+    cuts, tables, corrected = [], {}, []
+    real_restrict = routing.restrict_from
+    real_labels = simulation.compute_labels
+
+    def restrict(f, start):
+        cuts.append(start)
+        return real_restrict(f, start)
+
+    def labels(net, sink, exit_fns, tol, *, start, restricted):
+        ls = real_labels(net, sink, exit_fns, tol, start=start,
+                         restricted=restricted)
+        if restricted:
+            assert ls.exit_fns is restricted
+            tables[id(restricted)] = restricted   # holding keeps ids unique
+            corrected.append(sink)
+        else:
+            assert ls.exit_fns == exit_fns
+        return ls
+
+    monkeypatch.setattr(routing, "restrict_from", restrict)
+    monkeypatch.setattr(simulation, "compute_labels", labels)
+    cut = run(scenario)
+    assert len(cuts) == len(tables) * len(net.edges)
+    assert len(corrected) > len(tables) > 0
+    assert cut.events == plain.events
+    assert ([r.active_queries for r in cut.rounds]
+            == [r.active_queries for r in plain.rounds])
+    assert compute_metrics(cut) == compute_metrics(plain)
 
 
 def test_step_longer_than_horizon_still_routes_the_flow():
