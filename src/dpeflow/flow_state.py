@@ -12,6 +12,13 @@ advancing, by walking entry intervals and mapping them through the edge's
 exit-time function via a running cursor (flat stretches of the exit-time map
 carry no entering mass, so the earlier entries simply keep discharging).
 
+State is made on first assignment.  An edge's state is made on the edge's
+first ``assign_inflow``, and a commodity's breakpoint lists on an edge on
+that commodity's first assignment to it; until then every reader answers
+with what a built, never-assigned edge or commodity gives (no inflow, no
+outflow, an empty queue up to the built horizon) and builds nothing.  So a
+run holds state only for the edges and commodities its flow reached.
+
 Advancing is sparse in edges and in commodities.  An edge is live while its
 queue, its last inflow rate of some commodity, or one of its last outflow
 rates (per commodity or aggregate) is non-zero; only live edges are
@@ -20,9 +27,11 @@ advancing it would only move its flat, empty queue to the built horizon and
 its exit cursor to the horizon plus the transit time.  A dormant edge does
 exactly that when it wakes, on its next ``assign_inflow``, and when its queue
 is read as a function (``queue_fn``, ``audit_flow``), so every recorded
-breakpoint is the one a full sweep would have produced.  On each edge only
-the commodities that ever had a non-zero inflow there are visited; all other
-commodities carry exact zeros, whose omission leaves every sum unchanged.
+breakpoint is the one a full sweep would have produced; an edge made at
+time T wakes the same way, with the queue breakpoints [0, T].  On each edge
+only the commodities that ever had a non-zero inflow there are visited; all
+other commodities carry exact zeros, whose omission leaves every sum
+unchanged.
 """
 
 from __future__ import annotations
@@ -53,15 +62,16 @@ class _EdgeState:
         "q_times", "q_values", "q_slope_last", "exit_cursor", "scanned",
     )
 
-    def __init__(self, edge, n_commodities: int):
+    def __init__(self, edge):
         self.edge = edge
         self.live = False
         self.commodities: list[int] = []   # sorted, ever had inflow > 0
-        self.in_times = [[0.0] for _ in range(n_commodities)]
-        self.in_rates = [[0.0] for _ in range(n_commodities)]
-        self.assigned_until = [0.0] * n_commodities
-        self.out_times = [[0.0] for _ in range(n_commodities)]
-        self.out_rates = [[0.0] for _ in range(n_commodities)]
+        # keyed by the commodities ever assigned to the edge
+        self.in_times: dict[int, list[float]] = {}
+        self.in_rates: dict[int, list[float]] = {}
+        self.assigned_until: dict[int, float] = {}
+        self.out_times: dict[int, list[float]] = {}
+        self.out_rates: dict[int, list[float]] = {}
         self.agg_times = [0.0]
         self.agg_rates = [0.0]
         self.q_times = [0.0]
@@ -79,7 +89,8 @@ class FlowOverTime:
     assignment wakes a dormant edge.  ``advance`` extends the queues and
     outflows of the live edges, and of their commodities with inflow, up to
     a new built horizon; ``edges_advanced`` counts the edge extensions made.
-    Every queue starts empty and every edge dormant.
+    Every queue starts empty, and edge state is made on first assignment
+    (see the module docstring).
     """
 
     def __init__(self, network: Network, n_commodities: int):
@@ -87,7 +98,8 @@ class FlowOverTime:
         self.n_commodities = n_commodities
         self.built_until = 0.0
         self.edges_advanced = 0
-        self._edges = [_EdgeState(e, n_commodities) for e in network.edges]
+        # edge id -> its state, None until the edge's first assignment
+        self._edges: list[_EdgeState | None] = [None] * len(network.edges)
         self._live: list[int] = []          # sorted ids of live edges
         # ids of the edges that carried flow and, at the last
         # next_rate_change, were live or had an outflow breakpoint after it
@@ -117,7 +129,18 @@ class FlowOverTime:
             raise ValueError(
                 f"assignment at {start} before built horizon {self.built_until}")
         es = self._edges[edge]
-        times, rates = es.in_times[commodity], es.in_rates[commodity]
+        times = None if es is None else es.in_times.get(commodity)
+        if times is None:   # the commodity's first assignment to the edge
+            if not 0 <= commodity < self.n_commodities:
+                raise IndexError(f"no commodity {commodity}")
+            if es is None:
+                es = self._edges[edge] = _EdgeState(self.network.edges[edge])
+            times = es.in_times[commodity] = [0.0]
+            es.in_rates[commodity] = [0.0]
+            es.assigned_until[commodity] = 0.0
+            es.out_times[commodity] = [0.0]
+            es.out_rates[commodity] = [0.0]
+        rates = es.in_rates[commodity]
         if start < times[-1] - EPS:
             raise ValueError(
                 f"assignment at {start} before existing breakpoint {times[-1]}")
@@ -299,44 +322,67 @@ class FlowOverTime:
     # ----------------------------------------------------------------- access
 
     def queue_at(self, edge: int, t: float) -> float:
-        return self._queue_value(self._edges[edge], t)
+        es = self._edges[edge]
+        return 0.0 if es is None else self._queue_value(es, t)
 
     def exit_time(self, edge: int, t: float) -> float:
-        e = self._edges[edge].edge
+        e = self.network.edges[edge]
         return t + e.transit_time + self.queue_at(edge, t) / e.capacity
 
     def inflow_rate_at(self, commodity: int, edge: int, t: float) -> float:
-        es = self._edges[edge]
-        ts = es.in_times[commodity]
-        return es.in_rates[commodity][max(bisect_right(ts, t) - 1, 0)]
+        times, rates = self._inflow(commodity, edge)
+        return rates[max(bisect_right(times, t) - 1, 0)]
 
     def outflow_rate_at(self, commodity: int, edge: int, t: float) -> float:
-        es = self._edges[edge]
-        ts = es.out_times[commodity]
-        return es.out_rates[commodity][max(bisect_right(ts, t) - 1, 0)]
+        times, rates = self._outflow(commodity, edge)
+        return rates[max(bisect_right(times, t) - 1, 0)]
 
     def outflows_at(self, commodity: int, t: float) -> list[tuple[int, float]]:
         """(edge id, outflow rate at ``t``) of the commodity on every edge it
         ever entered, in edge-id order; it has no outflow elsewhere."""
-        return [(eid, self.outflow_rate_at(commodity, eid, t))
-                for eid in self._commodity_edges[commodity]]
+        out = []
+        for eid in self._commodity_edges[commodity]:
+            es = self._edges[eid]
+            times = es.out_times[commodity]
+            out.append((eid, es.out_rates[commodity][
+                max(bisect_right(times, t) - 1, 0)]))
+        return out
 
     def inflow_fn(self, commodity: int, edge: int) -> RightConstantFn:
-        es = self._edges[edge]
-        return RightConstantFn(tuple(es.in_times[commodity]),
-                               tuple(es.in_rates[commodity]))
+        times, rates = self._inflow(commodity, edge)
+        return RightConstantFn(tuple(times), tuple(rates))
 
     def outflow_fn(self, commodity: int, edge: int) -> RightConstantFn:
-        es = self._edges[edge]
-        return RightConstantFn(tuple(es.out_times[commodity]),
-                               tuple(es.out_rates[commodity]))
+        times, rates = self._outflow(commodity, edge)
+        return RightConstantFn(tuple(times), tuple(rates))
 
     def aggregate_outflow_fn(self, edge: int) -> RightConstantFn:
         es = self._edges[edge]
+        if es is None:
+            return RightConstantFn(*_UNASSIGNED)
         return RightConstantFn(tuple(es.agg_times), tuple(es.agg_rates))
+
+    def _inflow(self, commodity, edge):
+        """The commodity's inflow breakpoints on the edge: times, rates."""
+        es = self._edges[edge]
+        if es is None or commodity not in es.in_times:
+            return _UNASSIGNED
+        return es.in_times[commodity], es.in_rates[commodity]
+
+    def _outflow(self, commodity, edge):
+        """The commodity's outflow breakpoints on the edge: times, rates."""
+        es = self._edges[edge]
+        if es is None or commodity not in es.out_times:
+            return _UNASSIGNED
+        return es.out_times[commodity], es.out_rates[commodity]
 
     def queue_fn(self, edge: int) -> PiecewiseLinearFn:
         es = self._edges[edge]
+        if es is None:
+            # what catching up an edge made now would record
+            times = (0.0, self.built_until) if self.built_until > EPS \
+                else (0.0,)
+            return PiecewiseLinearFn(times, (0.0,) * len(times), 0.0, 0.0)
         self._catch_up(es)
         times, values = es.q_times, es.q_values
         if times[-1] < self.built_until - EPS:
@@ -349,6 +395,8 @@ class FlowOverTime:
         breakpoint, the slope of its last piece.  Read off the queue
         breakpoints without building the function."""
         es = self._edges[edge]
+        if es is None:
+            return 0.0   # an empty queue throughout
         self._catch_up(es)
         times, values = es.q_times, es.q_values
         if t > times[-1]:
@@ -369,9 +417,11 @@ class FlowOverTime:
 
         A dormant edge gets no outflow breakpoint until ``assign_inflow``
         wakes it, so once it has none after ``after`` it is not scanned again
-        before then; a query before an earlier one scans every edge anew."""
+        before then; a query before an earlier one scans every edge that
+        carried flow anew."""
         if after < self._scanned_after:
-            self._scan = [es.edge.id for es in self._edges if es.commodities]
+            self._scan = [es.edge.id for es in self._edges
+                          if es is not None and es.commodities]
             for eid in self._scan:
                 self._edges[eid].scanned = True
         self._scanned_after = after
@@ -406,6 +456,8 @@ class FlowOverTime:
         worst = {"queue_identity": 0.0, "queue_nonneg": 0.0,
                  "capacity": 0.0, "fifo": 0.0}
         for es in self._edges:
+            if es is None:
+                continue   # an empty, flowless edge breaks no invariant
             self._catch_up(es)
             e = es.edge
             cum_in = [self.inflow_fn(i, e.id).cumulative() for i in range(self.n_commodities)]
@@ -430,6 +482,10 @@ class FlowOverTime:
             if dev > tol:
                 raise AssertionError(f"flow invariant {name} violated by {dev}")
         return worst
+
+
+# the breakpoints (times, rates) of a rate never assigned: 0 from time 0 on
+_UNASSIGNED = ((0.0,), (0.0,))
 
 
 def _first_after(times, after, best):

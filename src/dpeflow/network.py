@@ -152,10 +152,11 @@ class Scenario:
         if cutoff > self.horizon:
             raise ValidationError(
                 f"inflow_cutoff {cutoff} exceeds horizon {self.horizon}")
+        reach: dict[NodeId, set[NodeId]] = {}   # one search per source
         for c in self.commodities:
-            self._check_commodity(c)
+            self._check_commodity(c, reach)
 
-    def _check_commodity(self, c: Commodity):
+    def _check_commodity(self, c: Commodity, reach: dict):
         name = f"commodity {c.id}"
         _check_predictor_spec(c.predictor_spec, name)
         if c.source == c.sink:
@@ -164,7 +165,10 @@ class Scenario:
             raise ValidationError(f"{name}: unknown source {c.source!r}")
         if c.sink not in self.network.node_index:
             raise ValidationError(f"{name}: unknown sink {c.sink!r}")
-        if c.sink not in self.network.reachable_from(c.source):
+        reachable = reach.get(c.source)
+        if reachable is None:
+            reachable = reach[c.source] = self.network.reachable_from(c.source)
+        if c.sink not in reachable:
             raise ValidationError(
                 f"{name}: sink {c.sink!r} unreachable from source {c.source!r}")
         if any(r < 0 for r in c.inflow.values):
@@ -435,13 +439,17 @@ def random_commodities(network: Network, count: int, *, seed: int,
     if not sources:
         raise ValidationError("network has no node with outgoing edges")
     out = []
+    targets_of: dict[NodeId, list[NodeId]] = {}   # one search per source
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 1000 * count:
             raise ValidationError("could not sample enough connected source/sink pairs")
         s = sources[int(rng.integers(len(sources)))]
-        targets = sorted(network.reachable_from(s) - {s}, key=str)
+        targets = targets_of.get(s)
+        if targets is None:
+            targets = targets_of[s] = sorted(network.reachable_from(s) - {s},
+                                             key=str)
         if not targets:
             continue
         t = targets[int(rng.integers(len(targets)))]

@@ -261,9 +261,11 @@ class RegressionPredictor:
     later forecasts from the same history take theirs from it.  The pass
     sums the products of weights and features left to right from +0.0 and
     then adds the intercept, as ``row[0] + sum(...)`` does, so every sample
-    is bit-identical to the one-edge formula.  The model's coefficients are
-    read at the first forecast; an edge without coefficients raises when it
-    is forecast.
+    is bit-identical to the one-edge formula.  The pass also marks the idle
+    edges, whose q(now) and samples are all +0.0: their forecast is the
+    shared zero, which ``fifo_fix`` and ``from_points`` would return, so
+    they skip both.  The model's coefficients are read at the first
+    forecast; an edge without coefficients raises when it is forecast.
     """
 
     kind = "regression"
@@ -272,18 +274,21 @@ class RegressionPredictor:
         self.model = model
         # (network edges, feature index, coefficients, edges without them)
         self._layout = None
-        # (history, q(now) per edge, samples per edge)
+        # (history, q(now) per edge, samples per edge, idle per edge)
         self._batch = None
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         batch = self._batch
         if batch is None or batch[0] is not history:
             batch = self._batch = self._forecast_all(history)
-        _, q_now, samples = batch
+        _, q_now, samples, idle = batch
+        now = history.now
+        if idle[edge_id]:
+            return PredictedQueue(edge_id, now, constant_fn(0.0))
         rows = samples[edge_id]
         if rows is None:
             self.model.coefficients_for(edge_id)  # raises, naming the edge
-        now, step = history.now, self.model.sample_step
+        step = self.model.sample_step
         pts = [(now, q_now[edge_id])]
         pts.extend((now + j * step, q) for j, q in enumerate(rows, 1))
         pts, fixes = fifo_fix(pts, history.edge(edge_id).capacity)
@@ -311,10 +316,15 @@ class RegressionPredictor:
             total = total + coef[:, :, k + 1] * feats[:, None, k]
         vals = coef[:, :, 0] + total
         # max(val, 0.0): keeps val unless 0.0 is larger, a -0.0 included
-        samples = np.where(0.0 > vals, 0.0, vals).tolist()
+        clamped = np.where(0.0 > vals, 0.0, vals)
+        # +0.0 throughout: a -0.0 or a NaN keeps an edge off the fast path
+        flat = np.column_stack([q_now, clamped])
+        idle = ((flat == 0.0) & ~np.signbit(flat)).all(axis=1).tolist()
+        samples = clamped.tolist()
         for eid in missing:
             samples[eid] = None
-        return history, q_now, samples
+            idle[eid] = False
+        return history, q_now, samples, idle
 
     def _build_layout(self, history: QueueHistory):
         """Feature rows and coefficients of every edge, as arrays."""

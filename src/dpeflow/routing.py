@@ -10,10 +10,12 @@ threshold predictors, the linear and reg_linear predictors whenever their
 forecast is flat, and every live predictor for an edge forecast to stay
 empty (the shared ``constant_fn(0.0)``), predict exit times t + c_e with
 c_e > 0.  Then every label is t + dist(v), where dist is the static
-shortest-path distance to the sink on the costs c_e, and one Dijkstra from
-the sink gives all labels.  The label set then holds the distances, and a
-node's label function is built on its first lookup and kept: a round asks
-``active_edges`` at a few nodes, each reading its own label and its heads'.
+shortest-path distance to the sink on the costs c_e, and a Dijkstra from
+the sink gives the labels.  The search runs only as far as the lookups
+reach: a round asks ``active_edges`` at a few nodes, each reading its own
+label and its heads', and a lookup resumes the search until its node is
+settled, so nodes farther from the sink than every queried one stay
+unsettled.  A node's label function is built on its first lookup and kept.
 ``simulation.audit_ide`` keeps its own Bellman-Ford as the independent
 check of the Dijkstra labels.
 
@@ -143,12 +145,12 @@ def compute_labels(network: Network, sink: str,
     """Earliest-arrival labels toward ``sink`` under the given exit times,
     exact for departures at or after ``start`` (the whole line by default).
 
-    One Dijkstra when every exit time is a positive shift, backward label
-    correction on the exit times restricted to [start, inf) otherwise (see
-    the module docstring for why that suffices).  ``restricted`` is a dict
-    shared by the calls on one exit table and one ``start``: the first call
-    that runs label correction fills it with the table cut at ``start``, and
-    the later ones reuse that cut.
+    A Dijkstra, run as far as lookups reach, when every exit time is a
+    positive shift, backward label correction on the exit times restricted
+    to [start, inf) otherwise (see the module docstring for why that
+    suffices).  ``restricted`` is a dict shared by the calls on one exit
+    table and one ``start``: the first call that runs label correction fills
+    it with the table cut at ``start``, and the later ones reuse that cut.
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
@@ -157,7 +159,7 @@ def compute_labels(network: Network, sink: str,
     table = dict(exit_fns)
     shifts = _positive_shifts(table)
     if shifts is not None:
-        labels = _shift_labels(network, sink, shifts)
+        labels = _ShiftLabels(network.in_edges, sink, shifts)
     else:
         if start != -math.inf:
             if restricted is None:
@@ -184,42 +186,62 @@ def _positive_shifts(exit_fns):
     return shifts
 
 
-def _shift_labels(network, sink, shifts):
-    """Labels t + dist(v) from one Dijkstra over in-edges from the sink."""
-    dist = {sink: 0.0}
-    # the counter breaks distance ties, so node ids are never compared
-    tie = count()
-    heap = [(0.0, next(tie), sink)]
-    while heap:
-        d, _, w = heapq.heappop(heap)
-        if d > dist[w]:
-            continue
-        for e in network.in_edges[w]:
-            nd = d + shifts[e.id]
-            if nd < dist.get(e.tail, math.inf):
-                dist[e.tail] = nd
-                heapq.heappush(heap, (nd, next(tie), e.tail))
-    return _ShiftLabels(dist)
-
-
 class _ShiftLabels(Mapping):
-    """Read-only node -> label t + dist(v) over Dijkstra distances.
+    """Read-only node -> label t + dist(v), settled on demand.
 
-    A node's label is built on its first lookup and kept; a round queries
-    only a few nodes and their heads.  At the sink it is ``identity_fn()``.
+    The distances come from a Dijkstra over in-edges from the sink, which
+    keeps its heap between lookups.  A lookup of a node not yet settled
+    resumes the search until that node is popped, or until the heap runs
+    dry when the node cannot reach the sink.  The pops follow the order of
+    a search run to the end whatever the order of the lookups, so every
+    distance is that search's, bit for bit.  ``in`` settles as far as its
+    node; ``len`` and iteration finish the search.  A node's label is built
+    on its first lookup and kept; at the sink it is ``identity_fn()``.
     """
 
-    __slots__ = ("_dist", "_built")
+    __slots__ = ("_in_edges", "_shifts", "_dist", "_settled", "_heap",
+                 "_tie", "_built")
 
-    def __init__(self, dist: dict[str, float]):
-        self._dist = dist
+    def __init__(self, in_edges, sink, shifts: dict[int, float]):
+        self._in_edges = in_edges
+        self._shifts = shifts
+        self._dist = {sink: 0.0}                 # tentative distances
+        self._settled: dict[str, float] = {}     # popped: final distances
+        # the counter breaks distance ties, so node ids are never compared
+        self._tie = count()
+        self._heap = [(0.0, next(self._tie), sink)]
         self._built: dict[str, PiecewiseLinearFn] = {}
+
+    def _search(self, target=None):
+        """Resume the search until ``target`` is settled and return its
+        distance, or run it to the end and return None."""
+        heap, dist, settled = self._heap, self._dist, self._settled
+        in_edges, shifts, tie = self._in_edges, self._shifts, self._tie
+        while heap:
+            d, _, w = heapq.heappop(heap)
+            if d > dist[w]:
+                continue
+            settled[w] = d
+            for e in in_edges[w]:
+                nd = d + shifts[e.id]
+                if nd < dist.get(e.tail, math.inf):
+                    dist[e.tail] = nd
+                    heapq.heappush(heap, (nd, next(tie), e.tail))
+            if w == target:
+                return d
+        return None
+
+    def _distance(self, v):
+        d = self._settled.get(v)
+        if d is None and self._heap:
+            d = self._search(v)
+        return d
 
     def get(self, v, default=None):
         # overridden: Mapping.get goes through __getitem__ and KeyError
         label = self._built.get(v)
         if label is None:
-            d = self._dist.get(v)
+            d = self._distance(v)
             if d is None:
                 return default
             label = self._built[v] = PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
@@ -232,12 +254,14 @@ class _ShiftLabels(Mapping):
         return label
 
     def __contains__(self, v):
-        return v in self._dist
+        return self._distance(v) is not None
 
     def __iter__(self):
+        self._search()
         return iter(self._dist)
 
     def __len__(self):
+        self._search()
         return len(self._dist)
 
 

@@ -64,6 +64,31 @@ def random_scenario(seed: int) -> Scenario:
                     seed=seed)
 
 
+def metro_tntp_text(seed=47):
+    """The 3538-node / 4803-link ring-plus-chords network of C10b, as TNTP."""
+    n, n_chords = 3538, 1265
+    rng = np.random.default_rng(seed)
+    lines = [f"<NUMBER OF NODES> {n}",
+             f"<NUMBER OF LINKS> {n + n_chords}",
+             "<END OF METADATA>"]
+
+    def link(a, b):
+        cap = rng.uniform(2.0, 6.0)
+        fft = rng.uniform(0.5, 2.5)
+        lines.append(f"{a} {b} {cap:.2f} 1 {fft:.2f} 0.15 4 0 0 1 ;")
+
+    for i in range(1, n + 1):
+        link(i, i % n + 1)
+    added = 0
+    while added < n_chords:
+        a, b = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        if a == b:
+            continue
+        link(a, b)
+        added += 1
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replaces ``ProcessPoolExecutor`` by a pool that records the size it

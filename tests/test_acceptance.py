@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PREDICTOR_CYCLE, random_scenario
+from conftest import PREDICTOR_CYCLE, metro_tntp_text, random_scenario
 from test_routing import path_arrival_oracle, random_instance
 
 from dpeflow.network import (
@@ -253,7 +253,7 @@ def test_c10b_metropolitan_scale(tmp_path):
                    "constant-predictor run in <600s"):
         t0 = time.monotonic()
         path = tmp_path / "metro.tntp"
-        path.write_text(_metro_tntp_text())
+        path.write_text(metro_tntp_text())
         net = import_tntp(path)
         assert len(net.nodes) == 3538
         assert len(net.edges) == 4803
@@ -267,25 +267,3 @@ def test_c10b_metropolitan_scale(tmp_path):
         report = compute_metrics(result)
         assert report.rows[0].outflow_mass > 0
         result.state.audit_flow(tol=1e-6)
-
-
-def _metro_tntp_text(seed=47):
-    n, n_chords = 3538, 1265
-    rng = np.random.default_rng(seed)
-    lines = [f"<NUMBER OF NODES> {n}",
-             f"<NUMBER OF LINKS> {n + n_chords}",
-             "<END OF METADATA>"]
-    def link(a, b):
-        cap = rng.uniform(2.0, 6.0)
-        fft = rng.uniform(0.5, 2.5)
-        lines.append(f"{a} {b} {cap:.2f} 1 {fft:.2f} 0.15 4 0 0 1 ;")
-    for i in range(1, n + 1):
-        link(i, i % n + 1)
-    added = 0
-    while added < n_chords:
-        a, b = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
-        if a == b:
-            continue
-        link(a, b)
-        added += 1
-    return "\n".join(lines) + "\n"

@@ -244,6 +244,81 @@ def test_next_rate_change_skips_drained_edges_until_they_wake():
         assert state.next_rate_change(after) == brute_force(after), after
 
 
+THREE_EDGES = Network(["a", "b", "c"], [("a", "b", 1.0, 1.0),
+                                        ("b", "c", 0.5, 2.0),
+                                        ("a", "c", 2.0, 1.0)])
+
+
+def readings(state, times):
+    """Every reader's answer on every edge and commodity, floats as hex."""
+    def hexed(f):
+        slopes = [getattr(f, s) for s in ("slope_before_first",
+                                          "slope_after_last") if hasattr(f, s)]
+        return [x.hex() for x in (*f.times, *f.values, *slopes)]
+
+    n = state.n_commodities
+    out = []
+    for e in range(len(state.network.edges)):
+        out.append(("queue_fn", e, hexed(state.queue_fn(e))))
+        out.append(("aggregate", e, hexed(state.aggregate_outflow_fn(e))))
+        for i in range(n):
+            out.append(("inflow_fn", e, i, hexed(state.inflow_fn(i, e))))
+            out.append(("outflow_fn", e, i, hexed(state.outflow_fn(i, e))))
+        for t in times:
+            out.append((e, t, state.queue_at(e, t).hex(),
+                        state.exit_time(e, t).hex(),
+                        state.queue_left_slope(e, t).hex(),
+                        [state.inflow_rate_at(i, e, t).hex() for i in range(n)],
+                        [state.outflow_rate_at(i, e, t).hex()
+                         for i in range(n)]))
+    for t in times:
+        out.append(("next", t, state.next_rate_change(t)))
+    out.append(sorted((k, v.hex()) for k, v in state.audit_flow().items()))
+    return out
+
+
+def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
+    # ``lazy`` builds state for edge 0 and commodity 0 only; ``built`` also
+    # assigns rate 0 to commodity 1 on edge 0 and to edges 1 and 2
+    lazy, built = FlowOverTime(THREE_EDGES, 2), FlowOverTime(THREE_EDGES, 2)
+    for state in (lazy, built):
+        state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    built.assign_inflow(1, 0, 0.0, 0.0, 1.0)
+    built.assign_inflow(0, 1, 0.0, 0.0, 1.0)
+    built.assign_inflow(1, 2, 0.0, 0.0, 1.0)
+
+    def made():
+        return [eid for eid, es in enumerate(lazy._edges) if es is not None]
+
+    before = (0.0, 0.5, 1.0, 2.5)
+    assert readings(lazy, before) == readings(built, before)
+    assert made() == [0] and list(lazy._edges[0].in_times) == [0]
+
+    # the queue functions read above end at 3; edge 2 wakes at 5
+    assert lazy.advance(3.0) == built.advance(3.0)
+    after = (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert readings(lazy, after) == readings(built, after)
+    assert made() == [0] and list(lazy._edges[0].in_times) == [0]
+
+    assert lazy.advance(5.0) == built.advance(5.0)
+    for state in (lazy, built):
+        state.assign_inflow(1, 2, 1.5, 5.0, 6.0)
+        assert state.queue_fn(2).times == (0.0, 5.0)
+    assert lazy.advance(8.0) == built.advance(8.0)
+    assert lazy.queue_fn(2).times == (0.0, 5.0, 6.0, 6.5, 8.0)
+    later = (0.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0)
+    assert readings(lazy, later) == readings(built, later)
+    assert made() == [0, 2] and list(lazy._edges[2].in_times) == [1]
+
+
+def test_assignment_names_a_known_commodity():
+    state = FlowOverTime(THREE_EDGES, 2)
+    for commodity in (-1, 2):
+        with pytest.raises(IndexError, match="no commodity"):
+            state.assign_inflow(commodity, 0, 1.0, 0.0, 1.0)
+    assert state._edges == [None, None, None]
+
+
 def test_queue_left_slope_matches_the_queue_function():
     def slope_of_queue_fn(state, t):
         q = state.queue_fn(0)

@@ -6,6 +6,7 @@ import pytest
 
 from dpeflow.flow_state import FlowOverTime
 from dpeflow.network import Network, PredictorParams
+from dpeflow import predictors
 from dpeflow.predictors import (
     ConstantPredictor,
     LinearPredictor,
@@ -388,6 +389,41 @@ def test_batched_regression_matches_the_per_edge_formula(seed):
         # q(now) and each lag of each edge, read once
         assert len(reads) == len(BATCH_NET.edges) * (1 + lags)
         assert hexed(batched.predict(history, 3))[1] is False
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_regression_idle_edges_skip_the_fix(seed, monkeypatch):
+    # most edges empty (+0.0) to date: edge 0 holds a queue, edge 3 reads
+    # -0.0, and edge 4 (a -> c) has no in-edges at its tail
+    rng = np.random.default_rng(seed)
+    lags, samples = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    radius = int(rng.integers(0, 4))
+    empty = PiecewiseLinearFn((0.0, 20.0), (0.0, 0.0), 0.0, 0.0)
+    fns = {e.id: empty for e in BATCH_NET.edges}
+    fns[0] = PiecewiseLinearFn((0.0, 20.0), (1.0, 3.0), 0.0, 0.0)
+    fns[3] = PiecewiseLinearFn((0.0, 20.0), (-0.0, -0.0), 0.0, 0.0)
+    width = 1 + (1 + radius) * lags
+    # weights only, so that an empty neighbourhood predicts +0.0
+    coef = {-1: (rng.normal(0.0, 1.0, (samples, width)).round(3)
+                 * ([0.0] + [1.0] * (width - 1))).tolist()}
+    model = RegressionModel(lags, samples, 1.0, radius, coef)
+    now = float(rng.uniform(10.0, 14.0))
+    want = {e.id: per_edge_forecast(
+        model, QueueHistory(FakeState(BATCH_NET, fns), now), e.id)
+        for e in BATCH_NET.edges}
+
+    fixed = []
+    fix = predictors.fifo_fix
+    monkeypatch.setattr(predictors, "fifo_fix",
+                        lambda pts, cap: fixed.append(pts) or fix(pts, cap))
+    history = QueueHistory(FakeState(BATCH_NET, fns), now)
+    batched = RegressionPredictor(model)
+    got = {e.id: batched.predict(history, e.id) for e in BATCH_NET.edges}
+    assert {k: hexed(p) for k, p in got.items()} \
+        == {k: hexed(p) for k, p in want.items()}
+    idle = {k for k, p in want.items() if p.fn is constant_fn(0.0)}
+    assert len(fixed) == len(BATCH_NET.edges) - len(idle)
+    assert 4 in idle and 0 not in idle and 3 not in idle
 
 
 def test_model_save_load_round_trip(tmp_path):

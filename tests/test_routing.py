@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -258,6 +259,81 @@ def test_active_edges_builds_only_the_labels_it_reads(seed, monkeypatch):
     for w in read:
         ls.earliest_arrival(w, 1.0)
     assert len(built) == len(read)
+
+
+def eager_shift_distances(network, sink, costs):
+    """Dijkstra over in-edges from the sink, run to the end in one go."""
+    dist = {sink: 0.0}
+    tie = itertools.count()
+    heap = [(0.0, next(tie), sink)]
+    while heap:
+        d, _, w = heapq.heappop(heap)
+        if d > dist[w]:
+            continue
+        for e in network.in_edges[w]:
+            nd = d + costs[e.id]
+            if nd < dist.get(e.tail, math.inf):
+                dist[e.tail] = nd
+                heapq.heappush(heap, (nd, next(tie), e.tail))
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resumable_shift_labels_equal_eager_distances_in_any_order(
+        seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    net, _, sink = random_instance(rng, int(rng.integers(6, 14)))
+    # "u" is reachable only from the sink; costs are rounded floats, with
+    # ties, so any other summation order could change a distance's last bit
+    net = Network(list(net.nodes) + ["u"],
+                  [(e.tail, e.head, 1.0, 1.0) for e in net.edges]
+                  + [(sink, "u", 1.0, 1.0)])
+    costs = {e.id: float(rng.choice([0.1, 0.3, rng.uniform(0.05, 2.0)]))
+             for e in net.edges}
+    exit_fns = {eid: shift(c) for eid, c in costs.items()}
+    dist = eager_shift_distances(net, sink, costs)
+    assert "u" not in dist
+
+    def check(labels, op, v):
+        if op == "get":
+            got = labels.get(v)
+            assert (got is None) == (v not in dist)
+            if got is not None:
+                assert got.values[0].hex() == dist[v].hex()
+                assert got.times == (0.0,) and got.slope_after_last == 1.0
+        elif op == "item":
+            if v in dist:
+                assert labels[v].values[0].hex() == dist[v].hex()
+            else:
+                with pytest.raises(KeyError):
+                    labels[v]
+        elif op == "in":
+            assert (v in labels) == (v in dist)
+        elif op == "len":
+            assert len(labels) == len(dist)
+        else:
+            assert list(labels) == list(dist)
+
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop",
+                        lambda heap: pops.append(1) or heappop(heap))
+    keys = list(net.nodes) + ["absent"]
+    for k in range(12):
+        labels = compute_labels(net, sink, exit_fns).labels
+        pops.clear()
+        if k == 0:
+            labels.get(sink)
+            assert len(pops) == 1   # the sink settles first, alone
+        order = [keys[j] for j in rng.permutation(len(keys))]
+        ops = [(str(rng.choice(["get", "item", "in"])), v) for v in order]
+        if k % 3:   # ``len`` or iteration somewhere in the order
+            ops.insert(int(rng.integers(len(ops) + 1)),
+                       (["len", "iter"][k % 2], None))
+        for op, v in ops:
+            check(labels, op, v)
+        assert {v: f.values[0].hex() for v, f in labels.items()} \
+            == {v: d.hex() for v, d in dist.items()}
 
 
 def with_extra_edges(rng, net, sink, extra):

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PREDICTOR_CYCLE
+from conftest import PREDICTOR_CYCLE, metro_tntp_text
 from dpeflow.network import (
     Commodity,
     Network,
     Scenario,
     block_inflow,
+    import_tntp,
     load_scenario,
     random_commodities,
 )
@@ -163,6 +164,50 @@ def test_linear_forecasts_read_the_queue_function_slope(monkeypatch):
     monkeypatch.setattr(QueueHistory, "left_slope", checked)
     run(sweep_variant(two_routes(), 7.0, "linear"))
     assert min(seen) < 0.0 < max(seen)
+
+
+def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
+                                                       monkeypatch):
+    # C10b's network with one constant-predictor commodity: a few busy edges
+    path = tmp_path / "metro.tntp"
+    path.write_text(metro_tntp_text())
+    net = import_tntp(path)
+    scenario = Scenario(
+        network=net, prediction_step=1.0, horizon=8.0,
+        commodities=(Commodity(0, 1, 5, block_inflow(4.0, 4.0),
+                               {"kind": "constant"}),))
+    assigned = set()
+    assign = FlowOverTime.assign_inflow
+
+    def spy_assign(self, commodity, edge, *args):
+        assigned.add(edge)
+        return assign(self, commodity, edge, *args)
+
+    label_sets = []
+    compute = simulation.compute_labels
+
+    def spy_labels(*args, **kwargs):
+        label_sets.append(compute(*args, **kwargs))
+        return label_sets[-1]
+
+    monkeypatch.setattr(FlowOverTime, "assign_inflow", spy_assign)
+    monkeypatch.setattr(simulation, "compute_labels", spy_labels)
+    state = run(scenario).state
+
+    def made():
+        return {eid for eid, es in enumerate(state._edges) if es is not None}
+
+    assert made() == assigned and 0 < len(assigned) < 10
+    # reading every edge builds nothing
+    for e in net.edges:
+        state.queue_at(e.id, 3.0)
+        state.queue_fn(e.id)
+        state.outflow_fn(0, e.id)
+    state.audit_flow()
+    assert made() == assigned
+    # each label set settled only the nodes its lookups reached
+    settled = sum(len(ls.labels._settled) for ls in label_sets)
+    assert 0 < settled < 0.5 * len(label_sets) * len(net.nodes)
 
 
 def test_debug_log_reports_rounds_and_edges_advanced(caplog):
