@@ -32,6 +32,9 @@ time T wakes the same way, with the queue breakpoints [0, T].  On each edge
 only the commodities that ever had a non-zero inflow there are visited; all
 other commodities carry exact zeros, whose omission leaves every sum
 unchanged.
+
+The time of every outflow breakpoint is also kept in one sorted index as it
+is recorded, so the next rate change after a time is one bisection.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class _EdgeState:
     __slots__ = (
         "edge", "live", "commodities", "in_times", "in_rates",
         "assigned_until", "out_times", "out_rates", "agg_times", "agg_rates",
-        "q_times", "q_values", "q_slope_last", "exit_cursor", "scanned",
+        "q_times", "q_values", "q_slope_last", "exit_cursor",
     )
 
     def __init__(self, edge):
@@ -78,7 +81,6 @@ class _EdgeState:
         self.q_values = [0.0]
         self.q_slope_last = None
         self.exit_cursor = edge.transit_time
-        self.scanned = False   # listed for next_rate_change
 
 
 class FlowOverTime:
@@ -101,10 +103,8 @@ class FlowOverTime:
         # edge id -> its state, None until the edge's first assignment
         self._edges: list[_EdgeState | None] = [None] * len(network.edges)
         self._live: list[int] = []          # sorted ids of live edges
-        # ids of the edges that carried flow and, at the last
-        # next_rate_change, were live or had an outflow breakpoint after it
-        self._scan: list[int] = []
-        self._scanned_after = -math.inf
+        # sorted times of every outflow breakpoint recorded by _emit
+        self._rate_changes: list[float] = []
         # per commodity, sorted ids of the edges it ever entered
         self._commodity_edges: list[list[int]] = [
             [] for _ in range(n_commodities)]
@@ -128,6 +128,8 @@ class FlowOverTime:
         if start < self.built_until - EPS:
             raise ValueError(
                 f"assignment at {start} before built horizon {self.built_until}")
+        if not 0 <= edge < len(self._edges):
+            raise IndexError(f"no edge {edge}")
         es = self._edges[edge]
         times = None if es is None else es.in_times.get(commodity)
         if times is None:   # the commodity's first assignment to the edge
@@ -154,9 +156,6 @@ class FlowOverTime:
             self._catch_up(es)   # wake up
             es.live = True
             insort(self._live, edge)
-        if es.commodities and not es.scanned:
-            es.scanned = True
-            self._scan.append(edge)
 
     def _close_expired(self, es, i, t):
         """Drop commodity i's inflow on ``es`` to 0 where its assignment ended,
@@ -279,6 +278,7 @@ class FlowOverTime:
         start = es.exit_cursor
         if exit_end <= start + EPS:
             return
+        n_events = len(events)
         for i, rate in zip(es.commodities, comm_rates):
             times, rates = es.out_times[i], es.out_rates[i]
             before = rates[-1]
@@ -293,6 +293,11 @@ class FlowOverTime:
             events.append(SimEvent(
                 time=start, kind="outflow_change", edge=es.edge.id,
                 detail=f"{before:g}->{agg_rate:g}"))
+        if len(events) > n_events:
+            # ``start`` lies more than EPS past every outflow breakpoint of
+            # the edge but its initial 0, so each changed rate was appended
+            # there (an entry within EPS of 0 is never returned)
+            insort(self._rate_changes, start)
         es.exit_cursor = exit_end
 
     def _q_append(self, es, t, v, slope):
@@ -409,38 +414,14 @@ class FlowOverTime:
         return (values[i + 1] - values[i]) / (times[i + 1] - times[i])
 
     def next_rate_change(self, after: float) -> float | None:
-        """Earliest known outflow breakpoint strictly after ``after`` on any
-        edge, aggregate or per commodity.  Commodity shares can shift while
-        the aggregate stays flat, so both kinds of lists are scanned, on the
-        edges that ever carried flow and for their commodities with inflow
-        (all other lists hold a single 0 at time 0).
-
-        A dormant edge gets no outflow breakpoint until ``assign_inflow``
-        wakes it, so once it has none after ``after`` it is not scanned again
-        before then; a query before an earlier one scans every edge that
-        carried flow anew."""
-        if after < self._scanned_after:
-            self._scan = [es.edge.id for es in self._edges
-                          if es is not None and es.commodities]
-            for eid in self._scan:
-                self._edges[eid].scanned = True
-        self._scanned_after = after
-        best = math.inf
-        drained = False
-        for eid in self._scan:
-            es = self._edges[eid]
-            first = _first_after(es.agg_times, after, math.inf)
-            for i in es.commodities:
-                first = _first_after(es.out_times[i], after, first)
-            if first < best:
-                best = first
-            elif first == math.inf and not es.live:
-                es.scanned = False
-                drained = True
-        if drained:
-            self._scan = [eid for eid in self._scan
-                          if self._edges[eid].scanned]
-        return None if best == math.inf else best
+        """Earliest outflow breakpoint past ``after`` by more than EPS on any
+        edge, aggregate or per commodity (commodity shares can shift while
+        the aggregate stays flat), or None; ``after`` >= 0.  One bisection
+        of the sorted index of every breakpoint recorded so far, so queries
+        may come in any order."""
+        changes = self._rate_changes
+        j = bisect_right(changes, after + EPS)
+        return changes[j] if j < len(changes) else None
 
     # ------------------------------------------------------------------ audit
 
@@ -486,13 +467,6 @@ class FlowOverTime:
 
 # the breakpoints (times, rates) of a rate never assigned: 0 from time 0 on
 _UNASSIGNED = ((0.0,), (0.0,))
-
-
-def _first_after(times, after, best):
-    """The smaller of ``best`` and the first of the sorted ``times`` past
-    ``after`` by more than EPS."""
-    j = bisect_right(times, after + EPS)
-    return times[j] if j < len(times) and times[j] < best else best
 
 
 def _pairwise(seq):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,13 +113,44 @@ class Commodity:
 
 @dataclass(frozen=True)
 class PredictorParams:
-    """Shared predictor hyperparameters; individual specs may override."""
+    """Shared predictor hyperparameters; individual specs may override.
+
+    Checked when made, against the bounds a regression model file must meet
+    (``RegressionModel.load``); a ValidationError names the field."""
 
     delta: float = 1.0                 # sampling step for backward differences
     prediction_horizon: float = math.inf
     samples: int = 10                  # past samples per neighbourhood edge
     sample_step: float = 1.0
     neighborhood_radius: int = 5       # incoming edges of the tail, zero-padded
+
+    def __post_init__(self):
+        for name, ok, bound in (
+                ("delta", _finite(self.delta) and self.delta > 0,
+                 "finite and > 0"),
+                ("prediction_horizon", _real(self.prediction_horizon)
+                 and self.prediction_horizon > 0, "> 0"),
+                ("samples", _integer(self.samples) and self.samples >= 1,
+                 "an integer >= 1"),
+                ("sample_step", _finite(self.sample_step)
+                 and self.sample_step > 0, "finite and > 0"),
+                ("neighborhood_radius", _integer(self.neighborhood_radius)
+                 and self.neighborhood_radius >= 0, "an integer >= 0")):
+            if not ok:
+                raise ValidationError(f"predictor_params.{name} must be "
+                                      f"{bound}, got {getattr(self, name)!r}")
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    return _real(x) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -143,8 +175,6 @@ class Scenario:
         if not (0 <= self.active_tolerance < math.inf):
             raise ValidationError("active_tolerance must be finite and >= 0, "
                                   f"got {self.active_tolerance}")
-        if not (self.predictor_params.delta > 0):
-            raise ValidationError("predictor_params.delta must be > 0")
         cutoff = self.inflow_cutoff
         if cutoff is None:
             cutoff = max((c.inflow.times[-1] for c in self.commodities), default=0.0)
@@ -263,10 +293,10 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     horizon_pred = pp.get("prediction_horizon", None)
     params = PredictorParams(
         delta=pp.get("delta", 1.0),
-        prediction_horizon=math.inf if horizon_pred is None else float(horizon_pred),
-        samples=int(pp.get("samples", 10)),
+        prediction_horizon=math.inf if horizon_pred is None else horizon_pred,
+        samples=pp.get("samples", 10),
         sample_step=pp.get("sample_step", pp.get("delta", 1.0)),
-        neighborhood_radius=int(pp.get("neighborhood_radius", 5)),
+        neighborhood_radius=pp.get("neighborhood_radius", 5),
     )
     if "prediction_step" not in doc or "horizon" not in doc:
         raise ParseError("scenario must declare 'prediction_step' and 'horizon'")

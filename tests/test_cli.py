@@ -157,6 +157,20 @@ def test_mistyped_scenario_section_is_an_input_error(
     assert not out.exists()
 
 
+def test_bad_predictor_param_is_an_input_error(scenario_file, tmp_path,
+                                               capsys):
+    # the regression commodity used to end in an IndexError traceback
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["predictor"] = {"kind": "regression"}
+    doc["predictor_params"]["samples"] = 0
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: predictor_params.samples must be an integer >= 1, got 0\n")
+    assert not out.exists()
+
+
 def test_model_without_an_edge_is_an_input_error(scenario_file, tmp_path,
                                                  capsys):
     width = 1 + (1 + 1) * 2

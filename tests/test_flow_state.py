@@ -212,19 +212,21 @@ def test_edge_drains_sleeps_and_refills():
     state.audit_flow()
 
 
-def test_next_rate_change_skips_drained_edges_until_they_wake():
+def first_breakpoint_after(state, after):
+    """The first outflow breakpoint past ``after`` by more than EPS on any
+    edge, aggregate or per commodity, read off every outflow function."""
+    fns = [f for e in range(len(state.network.edges))
+           for f in [state.aggregate_outflow_fn(e)]
+           + [state.outflow_fn(i, e) for i in range(state.n_commodities)]]
+    return min((t for f in fns for t in f.times if t > after + EPS),
+               default=None)
+
+
+def test_next_rate_change_sees_edges_drain_and_wake():
     net = Network(["a", "b", "c"], [("a", "b", 1.0, 1.0),
                                     ("b", "c", 0.5, 2.0),
                                     ("a", "c", 2.0, 1.0)])
     state = FlowOverTime(net, 2)
-
-    def brute_force(after):
-        """First outflow breakpoint after ``after`` on any edge."""
-        fns = [f for e in range(len(net.edges))
-               for f in [state.aggregate_outflow_fn(e)]
-               + [state.outflow_fn(i, e) for i in range(2)]]
-        return min((t for f in fns for t in f.times if t > after + EPS),
-                   default=None)
 
     # commodity 0 sends a burst over edges 0 and 1, which drain by 3 and 3.5;
     # commodity 1 keeps flowing on edge 2 and wakes edge 0 again at 5
@@ -237,11 +239,54 @@ def test_next_rate_change_skips_drained_edges_until_they_wake():
         if t == 5.5:
             state.assign_inflow(1, 0, 1.5, 5.0, 6.0)
         state.advance(t)
-        assert state.next_rate_change(t) == brute_force(t), t
+        assert state.next_rate_change(t) == first_breakpoint_after(state, t), t
     assert state.outflow_fn(1, 0).times == (0.0, 6.0, 7.5)
     # a query before the last one still sees the drained edges' breakpoints
     for after in (0.0, 2.5, 6.0, 9.0):
-        assert state.next_rate_change(after) == brute_force(after), after
+        assert state.next_rate_change(after) == \
+            first_breakpoint_after(state, after), after
+
+
+# per round, (commodity, edge, rate) assignments on [t, t + 0.5); a round
+# without assignments lets the edges drain, a later one wakes them
+assignment_rounds = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                       st.sampled_from((0.0, 0.5, 1.0, 2.5))), max_size=3),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(assignment_rounds,
+       st.lists(st.sampled_from((0.25, 0.5, 1.0, 1.5)), min_size=3,
+                max_size=3))
+def test_next_rate_change_equals_the_brute_force(rounds, transit_times):
+    net = Network(["a", "b", "c"],
+                  [(a, b, tau, cap) for (a, b, cap), tau in zip(
+                      (("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 0.5)),
+                      transit_times)])
+    state = FlowOverTime(net, 3)
+
+    def check(after):
+        assert state.next_rate_change(after) == \
+            first_breakpoint_after(state, after), after
+
+    step, ends = 0.5, []
+    for k, assigned in enumerate(rounds + [[]] * 4):
+        t = k * step
+        for i, e, rate in assigned:
+            state.assign_inflow(i, e, rate, t, t + step)
+        state.advance(t + step)
+        ends.append(t + step)
+        for after in reversed(ends):   # forward, then backward
+            check(after)
+    breakpoints = sorted({t for e in range(3) for i in range(3)
+                          for t in state.outflow_fn(i, e).times})
+    for b in breakpoints + [0.0]:
+        for after in (b, b - 2 * EPS, b - EPS, b - EPS / 2, b + EPS / 2,
+                      b + 2 * EPS):
+            check(max(after, 0.0))
+    for b in reversed(breakpoints):
+        check(b)
 
 
 THREE_EDGES = Network(["a", "b", "c"], [("a", "b", 1.0, 1.0),
@@ -317,6 +362,16 @@ def test_assignment_names_a_known_commodity():
         with pytest.raises(IndexError, match="no commodity"):
             state.assign_inflow(commodity, 0, 1.0, 0.0, 1.0)
     assert state._edges == [None, None, None]
+
+
+def test_assignment_names_a_known_edge():
+    # a negative id would alias the last edge and list itself as edge -1
+    state = FlowOverTime(THREE_EDGES, 2)
+    for edge in (-1, 3):
+        with pytest.raises(IndexError, match="no edge"):
+            state.assign_inflow(0, edge, 1.0, 0.0, 1.0)
+    assert state._edges == [None, None, None]
+    assert state.outflows_at(0, 0.5) == []
 
 
 def test_queue_left_slope_matches_the_queue_function():

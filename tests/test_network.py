@@ -120,6 +120,39 @@ def test_scenario_rejects_bad_steps():
     Scenario(net, (), 1.0, 10.0, active_tolerance=0.0)
 
 
+@pytest.mark.parametrize("field, value, bound", [
+    ("delta", 0.0, "finite and > 0"),
+    ("delta", math.inf, "finite and > 0"),
+    ("delta", "x", "finite and > 0"),
+    ("prediction_horizon", 0, "> 0"),
+    ("prediction_horizon", "x", "> 0"),
+    ("samples", 0, "an integer >= 1"),
+    ("samples", 2.5, "an integer >= 1"),
+    ("samples", True, "an integer >= 1"),
+    ("sample_step", 0, "finite and > 0"),
+    ("sample_step", -1, "finite and > 0"),
+    ("neighborhood_radius", -1, "an integer >= 0"),
+    ("neighborhood_radius", "5", "an integer >= 0"),
+])
+def test_predictor_params_checked_where_made(field, value, bound):
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    doc["predictor_params"][field] = value
+    message = f"predictor_params.{field} must be {bound}, got {value!r}"
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_predictor_params_bounds_admit_their_edges():
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    doc["predictor_params"] = {"delta": 1e-6, "prediction_horizon": None,
+                               "samples": 1, "sample_step": 1e-6,
+                               "neighborhood_radius": 0}
+    params = scenario_from_dict(doc).predictor_params
+    assert params.prediction_horizon == math.inf
+    assert (params.samples, params.neighborhood_radius) == (1, 0)
+
+
 def test_duplicate_edge_ids_rejected():
     doc = {"format": "dpe-scenario/1",
            "network": {"nodes": ["a", "b"],
