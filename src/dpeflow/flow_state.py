@@ -6,11 +6,14 @@ the queue at capacity whenever it is non-empty; otherwise the outflow equals
 the inflow capped at capacity.  Commodities share each edge under FIFO, so an
 exit interval carries the commodity mix of the matching entry interval.
 
-Inflow rates are assigned piecewise-constant and append-only; queues are the
-induced piecewise-linear trajectories.  Outflows are derived while
-advancing, by walking entry intervals and mapping them through the edge's
-exit-time function via a running cursor (flat stretches of the exit-time map
-carry no entering mass, so the earlier entries simply keep discharging).
+The flow is extended one sub-phase at a time, from one rate change to the
+next: inflow rates are assigned at the built horizon and hold until the
+next advance, so an advance extends each live edge over one piece of
+constant inflow at the last assigned rates, with no search for inflow
+breakpoints.  Queues are the induced piecewise-linear trajectories, and
+outflows are derived while advancing by mapping each entry piece through
+the edge's exit-time function via a running cursor (flat stretches of the
+exit-time map carry no entering mass, so earlier entries keep discharging).
 
 State is made on first assignment.  An edge's state is made on the edge's
 first ``assign_inflow``, and a commodity's breakpoint lists on an edge on
@@ -20,18 +23,17 @@ outflow, an empty queue up to the built horizon) and builds nothing.  So a
 run holds state only for the edges and commodities its flow reached.
 
 Advancing is sparse in edges and in commodities.  An edge is live while its
-queue, its last inflow rate of some commodity, or one of its last outflow
-rates (per commodity or aggregate) is non-zero; only live edges are
-advanced, in edge-id order.  Once all of these are 0 the edge goes dormant:
-advancing it would only move its flat, empty queue to the built horizon and
-its exit cursor to the horizon plus the transit time.  A dormant edge does
-exactly that when it wakes, on its next ``assign_inflow``, and when its queue
-is read as a function (``queue_fn``, ``audit_flow``), so every recorded
-breakpoint is the one a full sweep would have produced; an edge made at
-time T wakes the same way, with the queue breakpoints [0, T].  On each edge
-only the commodities that ever had a non-zero inflow there are visited; all
-other commodities carry exact zeros, whose omission leaves every sum
-unchanged.
+queue, its last inflow rate of some commodity, or its last aggregate
+outflow rate (0 only when every commodity's is) is non-zero; only live
+edges are advanced, in edge-id order.  Once all of these are 0 the edge
+goes dormant: advancing it would only move its flat, empty queue to the
+built horizon and its exit cursor to the horizon plus the transit time.  A dormant edge does exactly that when it wakes, on its
+next ``assign_inflow``, and when its queue is read as a function
+(``queue_fn``, ``audit_flow``), so every recorded breakpoint is the one a
+full sweep would have produced; an edge made at time T wakes the same way,
+with the queue breakpoints [0, T].  On each edge only the commodities that
+ever had a non-zero inflow there are visited; all other commodities carry
+exact zeros, whose omission leaves every sum unchanged.
 
 The time of every outflow breakpoint is also kept in one sorted index as it
 is recorded, so the next rate change after a time is one bisection.
@@ -60,8 +62,8 @@ class SimEvent:
 
 class _EdgeState:
     __slots__ = (
-        "edge", "live", "commodities", "in_times", "in_rates",
-        "assigned_until", "out_times", "out_rates", "agg_times", "agg_rates",
+        "edge", "live", "commodities", "assigned", "in_times", "in_rates",
+        "out_times", "out_rates", "agg_times", "agg_rates",
         "q_times", "q_values", "q_slope_last", "exit_cursor",
     )
 
@@ -69,10 +71,10 @@ class _EdgeState:
         self.edge = edge
         self.live = False
         self.commodities: list[int] = []   # sorted, ever had inflow > 0
+        self.assigned: set[int] = set()     # assigned since the last advance
         # keyed by the commodities ever assigned to the edge
         self.in_times: dict[int, list[float]] = {}
         self.in_rates: dict[int, list[float]] = {}
-        self.assigned_until: dict[int, float] = {}
         self.out_times: dict[int, list[float]] = {}
         self.out_rates: dict[int, list[float]] = {}
         self.agg_times = [0.0]
@@ -86,13 +88,12 @@ class _EdgeState:
 class FlowOverTime:
     """Append-only record of all edge in/outflow rates and queues.
 
-    ``assign_inflow`` declares a commodity's edge inflow on [a, b); rates left
-    unassigned fall back to zero once the assignment window expires, and an
-    assignment wakes a dormant edge.  ``advance`` extends the queues and
-    outflows of the live edges, and of their commodities with inflow, up to
-    a new built horizon; ``edges_advanced`` counts the edge extensions made.
-    Every queue starts empty, and edge state is made on first assignment
-    (see the module docstring).
+    One sub-phase is one ``assign_inflow`` per (commodity, edge) that carries
+    flow, then one ``advance``: the assigned rates hold from the built
+    horizon to the new one, and a commodity not assigned to an edge enters
+    it at rate 0.  An assignment wakes a dormant edge.  ``edges_advanced``
+    counts the edge extensions made.  Every queue starts empty, and edge
+    state is made on first assignment (see the module docstring).
     """
 
     def __init__(self, network: Network, n_commodities: int):
@@ -111,23 +112,16 @@ class FlowOverTime:
 
     # ------------------------------------------------------------ assignment
 
-    def assign_inflow(self, commodity: int, edge: int, rate: float,
-                      start: float, end: float):
-        """Set the commodity's inflow rate on [start, end).
+    def assign_inflow(self, commodity: int, edge: int, rate: float):
+        """Set the commodity's inflow rate on the edge from the built horizon
+        until the next advance that moves it.
 
-        ``start`` must not precede the built horizon or any earlier
-        assignment on this edge; re-assigning at exactly the last assignment
-        time overwrites it.
+        The assignment is pending until then: re-assigning overwrites it,
+        and an advance within EPS of the built horizon, which extends
+        nothing, keeps it.
         """
         if not (rate >= 0.0) or not math.isfinite(rate):
             raise ValueError(f"inflow rate must be finite and >= 0, got {rate}")
-        if not math.isfinite(start):
-            raise ValueError(f"assignment start must be finite, got {start}")
-        if not (end > start):
-            raise ValueError(f"empty assignment interval [{start}, {end})")
-        if start < self.built_until - EPS:
-            raise ValueError(
-                f"assignment at {start} before built horizon {self.built_until}")
         if not 0 <= edge < len(self._edges):
             raise IndexError(f"no edge {edge}")
         es = self._edges[edge]
@@ -139,16 +133,10 @@ class FlowOverTime:
                 es = self._edges[edge] = _EdgeState(self.network.edges[edge])
             times = es.in_times[commodity] = [0.0]
             es.in_rates[commodity] = [0.0]
-            es.assigned_until[commodity] = 0.0
             es.out_times[commodity] = [0.0]
             es.out_rates[commodity] = [0.0]
-        rates = es.in_rates[commodity]
-        if start < times[-1] - EPS:
-            raise ValueError(
-                f"assignment at {start} before existing breakpoint {times[-1]}")
-        self._close_expired(es, commodity, start)
-        self._rc_append(times, rates, start, rate)
-        es.assigned_until[commodity] = max(es.assigned_until[commodity], end)
+        self._rc_append(times, es.in_rates[commodity], self.built_until, rate)
+        es.assigned.add(commodity)
         if rate > 0.0 and commodity not in es.commodities:
             insort(es.commodities, commodity)
             insort(self._commodity_edges[commodity], edge)
@@ -156,14 +144,6 @@ class FlowOverTime:
             self._catch_up(es)   # wake up
             es.live = True
             insort(self._live, edge)
-
-    def _close_expired(self, es, i, t):
-        """Drop commodity i's inflow on ``es`` to 0 where its assignment ended,
-        if that lies before ``t``."""
-        until = es.assigned_until[i]
-        times, rates = es.in_times[i], es.in_rates[i]
-        if t > until + EPS and rates[-1] != 0.0 and times[-1] <= until + EPS:
-            self._rc_append(times, rates, until, 0.0)
 
     @staticmethod
     def _rc_append(times, rates, t, value):
@@ -183,7 +163,9 @@ class FlowOverTime:
 
     def advance(self, until: float) -> list[SimEvent]:
         """Extend the queues and outflows of the live edges to the new built
-        horizon; dormant edges are skipped.
+        horizon under the pending assignments; dormant edges are skipped.
+        An advance to within EPS of the built horizon extends nothing and
+        keeps the pending assignments.
 
         Returns the outflow-change and queue-depletion events discovered along
         the way (their times may lie beyond ``until``: outflows are knowable
@@ -201,7 +183,7 @@ class FlowOverTime:
         for eid in self._live:
             es = self._edges[eid]
             self._advance_edge(es, t0, t1, events)
-            if self._is_busy(es, t1):
+            if self._is_busy(es):
                 still_live.append(eid)
             else:
                 es.live = False
@@ -211,13 +193,13 @@ class FlowOverTime:
         return events
 
     @staticmethod
-    def _is_busy(es, t):
-        """Whether advancing the edge past ``t`` could do more than keep an
-        empty queue empty."""
+    def _is_busy(es):
+        """Whether advancing the edge could do more than keep an empty queue
+        empty.  ``_emit`` sets every commodity's outflow rate with the
+        aggregate one, which is 0 only when all of them are."""
         if es.q_values[-1] != 0.0 or es.agg_rates[-1] != 0.0:
             return True
-        return any(es.in_rates[i][-1] != 0.0 or es.in_times[i][-1] > t
-                   or es.out_rates[i][-1] != 0.0 for i in es.commodities)
+        return any(es.in_rates[i][-1] != 0.0 for i in es.commodities)
 
     def _catch_up(self, es):
         """Bring a dormant edge to the built horizon as advancing it would
@@ -227,52 +209,48 @@ class FlowOverTime:
             es.exit_cursor = self.built_until + es.edge.transit_time
 
     def _advance_edge(self, es, t0, t1, events):
+        """Extend the edge over [t0, t1) at the pending inflow rates; the
+        commodities not assigned since the last advance drop to 0 at t0."""
         tau = es.edge.transit_time
         cap = es.edge.capacity
         comms = es.commodities
-
-        marks = {t0, t1}
         for i in comms:
-            self._close_expired(es, i, t1)
-            ts = es.in_times[i]
-            j = bisect_right(ts, t0)
-            while j < len(ts) and ts[j] < t1 - EPS:
-                marks.add(ts[j])
-                j += 1
-
-        q0 = self._queue_value(es, t0)
-        for p, p2 in _pairwise(sorted(marks)):
-            rates = [es.in_rates[i][max(bisect_right(es.in_times[i], p) - 1, 0)]
-                     for i in comms]
-            r = sum(rates)
-            while p < p2 - EPS:
-                if q0 <= EPS:
-                    q0 = 0.0
-                if q0 > 0.0 or r > cap + EPS:
-                    # a queue exists or builds up: the server runs at capacity
-                    slope = r - cap
-                    pe = p2
-                    depleted = False
-                    if slope < -EPS:
-                        t_zero = p + q0 / -slope
-                        if t_zero <= p2 - EPS:
-                            pe, depleted = t_zero, True
-                        elif t_zero <= p2 + EPS:
-                            pe, depleted = p2, True
-                    q1 = 0.0 if depleted else q0 + slope * (pe - p)
-                    self._q_append(es, pe, q1, slope)
-                    if r > EPS:
-                        exit_end = pe + tau + q1 / cap
-                        self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
-                    if depleted:
-                        events.append(SimEvent(
-                            time=pe, kind="queue_depleted", edge=es.edge.id))
-                    q0 = q1
-                    p = pe
-                else:
-                    self._q_append(es, p2, 0.0, 0.0)
-                    self._emit(es, rates, min(r, cap), p2 + tau, events)
-                    p = p2
+            if i not in es.assigned and es.in_rates[i][-1] != 0.0:
+                self._rc_append(es.in_times[i], es.in_rates[i], t0, 0.0)
+        es.assigned.clear()
+        rates = [es.in_rates[i][-1] for i in comms]
+        r = sum(rates)
+        # the last queue breakpoint of a live edge lies within EPS before t0
+        q0 = es.q_values[-1]
+        p = t0
+        while p < t1 - EPS:
+            if q0 <= EPS:
+                q0 = 0.0
+            if q0 > 0.0 or r > cap + EPS:
+                # a queue exists or builds up: the server runs at capacity
+                slope = r - cap
+                pe = t1
+                depleted = False
+                if slope < -EPS:
+                    t_zero = p + q0 / -slope
+                    if t_zero <= t1 - EPS:
+                        pe, depleted = t_zero, True
+                    elif t_zero <= t1 + EPS:
+                        pe, depleted = t1, True
+                q1 = 0.0 if depleted else q0 + slope * (pe - p)
+                self._q_append(es, pe, q1, slope)
+                if r > EPS:
+                    exit_end = pe + tau + q1 / cap
+                    self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
+                if depleted:
+                    events.append(SimEvent(
+                        time=pe, kind="queue_depleted", edge=es.edge.id))
+                q0 = q1
+                p = pe
+            else:
+                self._q_append(es, t1, 0.0, 0.0)
+                self._emit(es, rates, min(r, cap), t1 + tau, events)
+                p = t1
 
     def _emit(self, es, comm_rates, agg_rate, exit_end, events):
         start = es.exit_cursor
@@ -467,7 +445,3 @@ class FlowOverTime:
 
 # the breakpoints (times, rates) of a rate never assigned: 0 from time 0 on
 _UNASSIGNED = ((0.0,), (0.0,))
-
-
-def _pairwise(seq):
-    return zip(seq, seq[1:])

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .predictors import PREDICTOR_KINDS
 from .pwl import RightConstantFn
 
 SCENARIO_FORMAT = "dpe-scenario/1"
@@ -125,20 +126,11 @@ class PredictorParams:
     neighborhood_radius: int = 5       # incoming edges of the tail, zero-padded
 
     def __post_init__(self):
-        for name, ok, bound in (
-                ("delta", _finite(self.delta) and self.delta > 0,
-                 "finite and > 0"),
-                ("prediction_horizon", _real(self.prediction_horizon)
-                 and self.prediction_horizon > 0, "> 0"),
-                ("samples", _integer(self.samples) and self.samples >= 1,
-                 "an integer >= 1"),
-                ("sample_step", _finite(self.sample_step)
-                 and self.sample_step > 0, "finite and > 0"),
-                ("neighborhood_radius", _integer(self.neighborhood_radius)
-                 and self.neighborhood_radius >= 0, "an integer >= 0")):
-            if not ok:
+        for name, (ok, bound) in _PARAM_BOUNDS.items():
+            value = getattr(self, name)
+            if not ok(value):
                 raise ValidationError(f"predictor_params.{name} must be "
-                                      f"{bound}, got {getattr(self, name)!r}")
+                                      f"{bound}, got {value!r}")
 
 
 def _real(x) -> bool:
@@ -151,6 +143,25 @@ def _finite(x) -> bool:
 
 def _integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# field -> (test, the bound in words), in PredictorParams' field order
+_PARAM_BOUNDS = {
+    "delta": (lambda x: _finite(x) and x > 0, "finite and > 0"),
+    "prediction_horizon": (lambda x: _real(x) and x > 0, "> 0"),
+    "samples": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
+    "sample_step": (lambda x: _finite(x) and x > 0, "finite and > 0"),
+    "neighborhood_radius": (lambda x: _integer(x) and x >= 0,
+                            "an integer >= 0"),
+}
+# the keys of a predictor spec that ``build_predictor`` reads besides "kind"
+_SPEC_BOUNDS = {
+    "delta": _PARAM_BOUNDS["delta"],
+    "prediction_horizon": _PARAM_BOUNDS["prediction_horizon"],
+    "threshold": (_finite, "a finite number"),
+    "high_value": (_finite, "a finite number"),
+    "model": (lambda x: isinstance(x, str), "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -212,9 +223,20 @@ class Scenario:
 
 
 def _check_predictor_spec(spec, where: str):
+    """Check the keys ``build_predictor`` reads, where they are present."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: predictor must be an object like "
                               f'{{"kind": "linear"}}, got {spec!r}')
+    kind = spec.get("kind")
+    if kind not in PREDICTOR_KINDS:
+        raise ValidationError(f"{where}: predictor.kind must be one of "
+                              f"{', '.join(PREDICTOR_KINDS)}, got {kind!r}")
+    if len(spec) > 1:
+        for name, value in spec.items():
+            bound = _SPEC_BOUNDS.get(name)
+            if bound is not None and not bound[0](value):
+                raise ValidationError(f"{where}: predictor.{name} must be "
+                                      f"{bound[1]}, got {value!r}")
 
 
 def block_inflow(rate: float, until: float) -> RightConstantFn:
@@ -245,6 +267,28 @@ def _json(value, kind: type, what: str):
     return value
 
 
+# Scalar checks: ``value`` if it has the JSON type, else a ParseError naming
+# ``what.format(*args)``, formatted only then.  A bool is not a number.
+
+def _number(value, what: str, *args):
+    if isinstance(value, (int, float)) and type(value) is not bool:
+        return value
+    raise ParseError(f"{what.format(*args)} must be a number, got {value!r}")
+
+
+def _int(value, what: str, *args):
+    if isinstance(value, int) and type(value) is not bool:
+        return value
+    raise ParseError(f"{what.format(*args)} must be an integer, got {value!r}")
+
+
+def _node(value, what: str, *args):
+    if isinstance(value, (str, int)) and type(value) is not bool:
+        return value
+    raise ParseError(f"{what.format(*args)} must be a string or an integer, "
+                     f"got {value!r}")
+
+
 def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     _json(doc, dict, "a scenario")
     fmt = doc.get("format")
@@ -259,18 +303,24 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     for i, e in enumerate(_json(net_doc.get("edges", []), list,
                                 "'network.edges'")):
         _json(e, dict, f"network edge {i}")
-        eid = e.get("id", i)
+        eid = _int(e.get("id", i), "network edge {}: id", i)
         if eid in seen_ids:
             raise ValidationError(f"duplicate edge id {eid}")
         seen_ids.add(eid)
         for key in ("tail", "head", "transit_time", "capacity"):
             if key not in e:
                 raise ParseError(f"network edge {i}: missing field {key!r}")
-        edges.append((e["tail"], e["head"], e["transit_time"], e["capacity"]))
+        edges.append((_node(e["tail"], "network edge {}: tail", i),
+                      _node(e["head"], "network edge {}: head", i),
+                      _number(e["transit_time"], "network edge {}: transit_time", i),
+                      _number(e["capacity"], "network edge {}: capacity", i)))
     nodes = net_doc.get("nodes")
     if nodes is None:
         nodes = list(dict.fromkeys(n for t, h, *_ in edges for n in (t, h)))
-    network = Network(_json(nodes, list, "'network.nodes'"), edges)
+    else:
+        nodes = [_node(v, "network node {}", k) for k, v in
+                 enumerate(_json(nodes, list, "'network.nodes'"))]
+    network = Network(nodes, edges)
 
     commodities = []
     for i, c in enumerate(_json(doc.get("commodities", []), list,
@@ -283,8 +333,8 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
         _check_predictor_spec(spec, f"commodity {i}")
         commodities.append(Commodity(
             id=i,
-            source=c["source"],
-            sink=c["sink"],
+            source=_node(c["source"], "commodity {}: source", i),
+            sink=_node(c["sink"], "commodity {}: sink", i),
             inflow=_inflow_from_dict(c["inflow"], where=f"commodity {i}"),
             predictor_spec=dict(spec),
         ))
@@ -300,15 +350,21 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     )
     if "prediction_step" not in doc or "horizon" not in doc:
         raise ParseError("scenario must declare 'prediction_step' and 'horizon'")
+    cutoff = doc.get("inflow_cutoff")
+    if cutoff is not None:
+        _number(cutoff, "'inflow_cutoff'")
     return Scenario(
         network=network,
         commodities=tuple(commodities),
-        prediction_step=float(doc["prediction_step"]),
-        horizon=float(doc["horizon"]),
-        inflow_cutoff=doc.get("inflow_cutoff"),
+        prediction_step=float(_number(doc["prediction_step"],
+                                      "'prediction_step'")),
+        horizon=float(_number(doc["horizon"], "'horizon'")),
+        inflow_cutoff=cutoff,
         predictor_params=params,
-        active_tolerance=float(doc.get("active_tolerance", ACTIVE_TOLERANCE)),
-        seed=int(doc.get("seed", 0)),
+        active_tolerance=float(_number(doc.get("active_tolerance",
+                                               ACTIVE_TOLERANCE),
+                                       "'active_tolerance'")),
+        seed=_int(doc.get("seed", 0), "'seed'"),
         base_dir=base_dir,
     )
 
@@ -318,11 +374,13 @@ def _inflow_from_dict(spec, where: str) -> RightConstantFn:
     if "rate" in spec:
         if "until" not in spec:
             raise ParseError(f"{where}: block inflow needs 'until'")
-        return block_inflow(spec["rate"], spec["until"])
+        return block_inflow(_number(spec["rate"], "{}: inflow rate", where),
+                            _number(spec["until"], "{}: inflow 'until'", where))
     if "times" in spec and "rates" in spec:
-        return RightConstantFn(
-            tuple(_json(spec["times"], list, f"{where}: inflow times")),
-            tuple(_json(spec["rates"], list, f"{where}: inflow rates")))
+        return RightConstantFn(*(
+            tuple(_number(x, "{}: inflow {}[{}]", where, key, k) for k, x in
+                  enumerate(_json(spec[key], list, f"{where}: inflow {key}")))
+            for key in ("times", "rates")))
     raise ParseError(f"{where}: inflow must give rate/until or times/rates")
 
 
@@ -442,14 +500,6 @@ def import_edge_list(path: str | Path) -> Network:
                 raise ParseError(f"{path}:{lineno}: malformed row {row!r}") from exc
     nodes = list(dict.fromkeys(n for t, h, *_ in edges for n in (t, h)))
     return Network(nodes, edges)
-
-
-def export_edge_list(network: Network, path: str | Path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tail", "head", "transit_time", "capacity"])
-        for e in network.edges:
-            writer.writerow([e.tail, e.head, repr(e.transit_time), repr(e.capacity)])
 
 
 # ----------------------------------------------------------------- commodities

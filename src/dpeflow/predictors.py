@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .pwl import (
     EPS,
     PiecewiseLinearFn,
-    RightConstantFn,
     constant_fn,
     from_points,
 )
@@ -579,6 +578,10 @@ _SIMPLE = {
     "zero": ZeroPredictor,
     "constant": ConstantPredictor,
 }
+PREDICTOR_KINDS = (*_SIMPLE, "linear", "reg_linear", "threshold", "perfect",
+                   "regression")
+"""The kinds ``build_predictor`` builds; a scenario's specs are checked
+against them where the scenario is made."""
 
 
 def build_predictor(spec: dict, params, base_dir=None, final_state=None):
@@ -589,6 +592,8 @@ def build_predictor(spec: dict, params, base_dir=None, final_state=None):
     predictor for post-hoc evaluation.
     """
     kind = spec.get("kind")
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"unknown predictor kind: {kind!r}")
     if kind in _SIMPLE:
         return _SIMPLE[kind]()
     if kind == "linear":
@@ -603,16 +608,14 @@ def build_predictor(spec: dict, params, base_dir=None, final_state=None):
                                   spec.get("high_value", 2.0))
     if kind == "perfect":
         return PerfectPredictor(final_state)
-    if kind == "regression":
-        if "model" in spec:
-            path = spec["model"]
-            if base_dir is not None:
-                import os
-                path = os.path.join(base_dir, path)
-            model = RegressionModel.load(path)
-        else:
-            model = RegressionModel.copy_last_value(
-                params.samples, params.sample_step,
-                neighborhood_radius=params.neighborhood_radius)
-        return RegressionPredictor(model)
-    raise ValueError(f"unknown predictor kind: {kind!r}")
+    if "model" in spec:   # the regression kind
+        path = spec["model"]
+        if base_dir is not None:
+            import os
+            path = os.path.join(base_dir, path)
+        model = RegressionModel.load(path)
+    else:
+        model = RegressionModel.copy_last_value(
+            params.samples, params.sample_step,
+            neighborhood_radius=params.neighborhood_radius)
+    return RegressionPredictor(model)

@@ -188,7 +188,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                             f"at time {t:g} but no active edge")
                     share = rate / len(active_ids)
                     for eid in active_ids:
-                        state.assign_inflow(i, eid, share, t, b)
+                        state.assign_inflow(i, eid, share)
 
             events.extend(state.advance(b))
             sub_phases += 1

@@ -99,7 +99,13 @@ def test_non_finite_inflow_time_is_an_input_error(scenario_file, tmp_path,
     ('{"0": ["linear"]}', "commodity 0: predictor must be an object"),
     ('["x"]', "bad --predictor-overrides [\"x\"]; expected a JSON object"),
     ("{", "bad --predictor-overrides: Expecting"),
-], ids=["string-spec", "list-spec", "list-table", "not-json"])
+    ('{"0": {"kind": "reg_linear", "delta": 0}}',
+     "commodity 0: predictor.delta must be finite and > 0, got 0\n"),
+    ('{"*": {"kind": "nosuch"}}',
+     "commodity 0: predictor.kind must be one of zero, constant, linear, "
+     "reg_linear, threshold, perfect, regression, got 'nosuch'\n"),
+], ids=["string-spec", "list-spec", "list-table", "not-json", "bad-delta",
+        "unknown-kind"])
 def test_bad_predictor_overrides_are_input_errors(scenario_file, tmp_path,
                                                   capsys, overrides, message):
     out = tmp_path / "out"
@@ -121,6 +127,38 @@ def test_non_object_predictor_in_scenario_is_an_input_error(
     assert capsys.readouterr().err == (
         "error: commodity 0: predictor must be an object like "
         "{\"kind\": \"linear\"}, got 'linear'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "linear", "prediction_horizon": "x"},
+     "predictor.prediction_horizon must be > 0, got 'x'"),
+    ({"kind": "threshold", "threshold": "x"},
+     "predictor.threshold must be a finite number, got 'x'"),
+    ({"kind": "regression", "model": 5},
+     "predictor.model must be a string, got 5"),
+], ids=["prediction_horizon", "threshold", "model"])
+def test_bad_predictor_spec_in_scenario_is_an_input_error(
+        scenario_file, tmp_path, capsys, spec, message):
+    # each of these used to end in a traceback
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["predictor"] = spec
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: commodity 0: {message}\n"
+    assert not out.exists()
+
+
+def test_mistyped_scalar_in_scenario_is_an_input_error(scenario_file,
+                                                       tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["network"]["edges"][2]["capacity"] = None
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: network edge 2: capacity must be a number, got None\n")
     assert not out.exists()
 
 

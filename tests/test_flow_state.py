@@ -42,9 +42,10 @@ def test_depletion_time_with_residual_inflow():
     # rate 3 into capacity 2 builds a queue of 0.5 by t=0.5; the residual
     # inflow 1 then drains it at 2 - 1 = 1 per unit of time
     state = FlowOverTime(one_edge_net(capacity=2.0), 1)
-    state.assign_inflow(0, 0, 3.0, 0.0, 0.5)
-    state.assign_inflow(0, 0, 1.0, 0.5, 2.0)
-    events = state.advance(2.0)
+    state.assign_inflow(0, 0, 3.0)
+    events = state.advance(0.5)
+    state.assign_inflow(0, 0, 1.0)
+    events += state.advance(2.0)
     depletions = [e for e in events if e.kind == "queue_depleted"]
     assert len(depletions) == 1
     assert depletions[0].time == pytest.approx(1.0)  # 0.5 + 0.5/(2-1)
@@ -56,7 +57,8 @@ def test_depletion_time_with_residual_inflow():
 def test_pulse_inflow_queue_and_outflow():
     # rate 2 into capacity 1 for one unit of time: queue ramps to 1, drains to 0
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 2.0)
+    state.advance(1.0)
     state.advance(3.0)
     assert state.queue_at(0, 1.0) == pytest.approx(1.0)
     assert state.queue_at(0, 2.0) == pytest.approx(0.0)
@@ -71,7 +73,8 @@ def test_pulse_inflow_queue_and_outflow():
 
 def test_subcapacity_inflow_passes_through():
     state = FlowOverTime(one_edge_net(2.0, 3.0), 1)
-    state.assign_inflow(0, 0, 1.5, 0.0, 4.0)
+    state.assign_inflow(0, 0, 1.5)
+    state.advance(4.0)
     state.advance(7.0)
     assert state.queue_at(0, 4.0) == 0.0
     f = state.outflow_fn(0, 0)
@@ -87,8 +90,9 @@ def test_subcapacity_inflow_passes_through():
 def test_fifo_commodity_shares():
     # two commodities at rates 1 and 3 into capacity 2: exits carry 1/4 and 3/4
     state = FlowOverTime(one_edge_net(1.0, 2.0), 2)
-    state.assign_inflow(0, 0, 1.0, 0.0, 1.0)
-    state.assign_inflow(1, 0, 3.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 1.0)
+    state.assign_inflow(1, 0, 3.0)
+    state.advance(1.0)
     state.advance(4.0)
     f0, f1 = state.outflow_fn(0, 0), state.outflow_fn(1, 0)
     for t in (1.0, 1.5, 2.0, 2.9):
@@ -103,10 +107,12 @@ def test_fifo_commodity_shares():
 def test_fifo_share_change_travels_with_the_queue():
     # composition switches at t=1; the switch appears at exit time T(1)
     state = FlowOverTime(one_edge_net(1.0, 1.0), 2)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
-    state.assign_inflow(1, 0, 0.0, 0.0, 1.0)
-    state.assign_inflow(0, 0, 0.0, 1.0, 2.0)
-    state.assign_inflow(1, 0, 2.0, 1.0, 2.0)
+    state.assign_inflow(0, 0, 2.0)
+    state.assign_inflow(1, 0, 0.0)
+    state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
+    state.assign_inflow(1, 0, 2.0)
+    state.advance(2.0)
     state.advance(6.0)
     T1 = state.exit_time(0, 1.0)
     assert T1 == pytest.approx(3.0)
@@ -121,41 +127,60 @@ def test_fifo_share_change_travels_with_the_queue():
 
 def test_assignment_window_expires_to_zero():
     state = FlowOverTime(one_edge_net(1.0, 5.0), 1)
-    state.assign_inflow(0, 0, 1.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 1.0)
+    state.advance(1.0)
     state.advance(3.0)
     f = state.inflow_fn(0, 0)
     assert f(0.5) == 1.0
     assert f(1.5) == 0.0
 
 
-def test_assignment_cannot_rewind():
-    state = FlowOverTime(one_edge_net(), 1)
+def test_assignment_lasts_until_the_next_advance_that_moves_the_horizon():
+    # commodity 0 is not assigned for [1, 2), so it enters at rate 0 there
+    state = FlowOverTime(one_edge_net(1.0, 5.0), 2)
+    state.assign_inflow(0, 0, 1.0)
+    state.assign_inflow(1, 0, 2.0)
     state.advance(1.0)
-    with pytest.raises(ValueError, match="before built horizon"):
-        state.assign_inflow(0, 0, 1.0, 0.5, 2.0)
+    state.assign_inflow(1, 0, 3.0)
+    state.advance(2.0)
+    state.advance(3.0)
+    f0, f1 = state.inflow_fn(0, 0), state.inflow_fn(1, 0)
+    assert (f0.times, f0.values) == ((0.0, 1.0), (1.0, 0.0))
+    assert (f1.times, f1.values) == ((0.0, 1.0, 2.0), (2.0, 3.0, 0.0))
+    state.audit_flow()
+
+
+def test_advance_within_eps_keeps_the_pending_assignments():
+    state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
+    state.assign_inflow(0, 0, 2.0)
+    assert state.advance(0.5 * EPS) == []
+    assert state.built_until == 0.0
+    state.advance(1.0)
+    state.advance(2.0)
+    f = state.inflow_fn(0, 0)
+    assert (f.times, f.values) == ((0.0, 1.0), (2.0, 0.0))
+    assert state.queue_at(0, 1.0) == 1.0
 
 
 def test_negative_rate_rejected():
     state = FlowOverTime(one_edge_net(), 1)
     with pytest.raises(ValueError, match=">= 0"):
-        state.assign_inflow(0, 0, -1.0, 0.0, 1.0)
+        state.assign_inflow(0, 0, -1.0)
 
 
-@pytest.mark.parametrize("start, end", [
-    (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf),
-    (-math.inf, 1.0)])
-def test_non_finite_assignment_bounds_rejected(start, end):
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_non_finite_rate_rejected(rate):
     state = FlowOverTime(one_edge_net(), 1)
-    with pytest.raises(ValueError):
-        state.assign_inflow(0, 0, 2.0, start, end)
+    with pytest.raises(ValueError, match="finite"):
+        state.assign_inflow(0, 0, rate)
     state.advance(3.0)
     assert state.inflow_fn(0, 0).values == (0.0,)
 
 
 def test_reassignment_at_same_time_overwrites():
     state = FlowOverTime(one_edge_net(), 1)
-    state.assign_inflow(0, 0, 1.0, 0.0, 2.0)
-    state.assign_inflow(0, 0, 2.5, 0.0, 2.0)
+    state.assign_inflow(0, 0, 1.0)
+    state.assign_inflow(0, 0, 2.5)
     assert state.inflow_fn(0, 0)(0.0) == 2.5
 
 
@@ -164,8 +189,9 @@ def test_reassignment_at_same_time_overwrites():
 
 def test_events_cover_saturation_and_depletion():
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
-    events = state.advance(4.0)
+    state.assign_inflow(0, 0, 2.0)
+    events = state.advance(1.0)
+    events += state.advance(4.0)
     kinds = {(e.kind, round(e.time, 9)) for e in events}
     assert ("queue_depleted", 2.0) in kinds
     changes = sorted(e.time for e in events if e.kind == "outflow_change"
@@ -181,7 +207,7 @@ def test_edge_drains_sleeps_and_refills():
     # a burst at rate 2 into capacity 1 queues up to 1 and drains by t=2;
     # the outflow (rate 1 on [1, 3)) ends at 3, after which the edge is idle
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 2.0)
     for t in (1.0, 2.0, 3.0):
         state.advance(t)
     assert state.edges_advanced == 3
@@ -194,7 +220,7 @@ def test_edge_drains_sleeps_and_refills():
     assert q.values == (0.0, 1.0, 0.0, 0.0)
 
     # the second burst wakes the edge at 6.5; its outflow starts at 6.5 + 1
-    state.assign_inflow(0, 0, 2.0, 6.5, 7.5)
+    state.assign_inflow(0, 0, 2.0)
     events = []
     for t in (7.5, 8.5, 10.0):
         events += state.advance(t)
@@ -230,14 +256,16 @@ def test_next_rate_change_sees_edges_drain_and_wake():
 
     # commodity 0 sends a burst over edges 0 and 1, which drain by 3 and 3.5;
     # commodity 1 keeps flowing on edge 2 and wakes edge 0 again at 5
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
-    state.assign_inflow(1, 2, 0.5, 0.0, 8.0)
     for k in range(1, 21):
-        t = 0.5 * k
+        t = 0.5 * k   # the sub-phase [t - 0.5, t)
+        if t <= 1.0:
+            state.assign_inflow(0, 0, 2.0)
+        if t <= 8.0:
+            state.assign_inflow(1, 2, 0.5)
         if 1.0 <= t <= 3.0:
-            state.assign_inflow(0, 1, 1.0, t - 0.5, t)
-        if t == 5.5:
-            state.assign_inflow(1, 0, 1.5, 5.0, 6.0)
+            state.assign_inflow(0, 1, 1.0)
+        if t in (5.5, 6.0):
+            state.assign_inflow(1, 0, 1.5)
         state.advance(t)
         assert state.next_rate_change(t) == first_breakpoint_after(state, t), t
     assert state.outflow_fn(1, 0).times == (0.0, 6.0, 7.5)
@@ -247,7 +275,7 @@ def test_next_rate_change_sees_edges_drain_and_wake():
             first_breakpoint_after(state, after), after
 
 
-# per round, (commodity, edge, rate) assignments on [t, t + 0.5); a round
+# per round, (commodity, edge, rate) assignments for [t, t + 0.5); a round
 # without assignments lets the edges drain, a later one wakes them
 assignment_rounds = st.lists(
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
@@ -274,7 +302,7 @@ def test_next_rate_change_equals_the_brute_force(rounds, transit_times):
     for k, assigned in enumerate(rounds + [[]] * 4):
         t = k * step
         for i, e, rate in assigned:
-            state.assign_inflow(i, e, rate, t, t + step)
+            state.assign_inflow(i, e, rate)
         state.advance(t + step)
         ends.append(t + step)
         for after in reversed(ends):   # forward, then backward
@@ -327,10 +355,10 @@ def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
     # assigns rate 0 to commodity 1 on edge 0 and to edges 1 and 2
     lazy, built = FlowOverTime(THREE_EDGES, 2), FlowOverTime(THREE_EDGES, 2)
     for state in (lazy, built):
-        state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
-    built.assign_inflow(1, 0, 0.0, 0.0, 1.0)
-    built.assign_inflow(0, 1, 0.0, 0.0, 1.0)
-    built.assign_inflow(1, 2, 0.0, 0.0, 1.0)
+        state.assign_inflow(0, 0, 2.0)
+    built.assign_inflow(1, 0, 0.0)
+    built.assign_inflow(0, 1, 0.0)
+    built.assign_inflow(1, 2, 0.0)
 
     def made():
         return [eid for eid, es in enumerate(lazy._edges) if es is not None]
@@ -340,6 +368,7 @@ def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
     assert made() == [0] and list(lazy._edges[0].in_times) == [0]
 
     # the queue functions read above end at 3; edge 2 wakes at 5
+    assert lazy.advance(1.0) == built.advance(1.0)
     assert lazy.advance(3.0) == built.advance(3.0)
     after = (0.0, 1.0, 2.0, 3.0, 4.0)
     assert readings(lazy, after) == readings(built, after)
@@ -347,8 +376,9 @@ def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
 
     assert lazy.advance(5.0) == built.advance(5.0)
     for state in (lazy, built):
-        state.assign_inflow(1, 2, 1.5, 5.0, 6.0)
+        state.assign_inflow(1, 2, 1.5)
         assert state.queue_fn(2).times == (0.0, 5.0)
+    assert lazy.advance(6.0) == built.advance(6.0)
     assert lazy.advance(8.0) == built.advance(8.0)
     assert lazy.queue_fn(2).times == (0.0, 5.0, 6.0, 6.5, 8.0)
     later = (0.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0)
@@ -360,7 +390,7 @@ def test_assignment_names_a_known_commodity():
     state = FlowOverTime(THREE_EDGES, 2)
     for commodity in (-1, 2):
         with pytest.raises(IndexError, match="no commodity"):
-            state.assign_inflow(commodity, 0, 1.0, 0.0, 1.0)
+            state.assign_inflow(commodity, 0, 1.0)
     assert state._edges == [None, None, None]
 
 
@@ -369,7 +399,7 @@ def test_assignment_names_a_known_edge():
     state = FlowOverTime(THREE_EDGES, 2)
     for edge in (-1, 3):
         with pytest.raises(IndexError, match="no edge"):
-            state.assign_inflow(0, edge, 1.0, 0.0, 1.0)
+            state.assign_inflow(0, edge, 1.0)
     assert state._edges == [None, None, None]
     assert state.outflows_at(0, 0.5) == []
 
@@ -383,18 +413,20 @@ def test_queue_left_slope_matches_the_queue_function():
     # the queue rises at 1 on [0, 1) and drains at -1 on [1, 2); the edge is
     # dormant from 3 on, so its slope is read after catching up to 6.5
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 2.0)
     for t in (1.0, 2.0, 3.0, 6.5):
         state.advance(t)
     slopes = [state.queue_left_slope(0, t) for t in grid]
     assert slopes == [0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0]
     assert slopes == [slope_of_queue_fn(state, t) for t in grid]
     # advances shorter than EPS leave the built horizon at the last queue
-    # breakpoint, so past it both readers extend the rising piece
+    # breakpoint, so past it both readers extend the rising piece; the
+    # second one moves the horizon by 1.8e-12, so the rate is re-assigned
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
-    state.assign_inflow(0, 0, 2.0, 0.0, 1.0)
+    state.assign_inflow(0, 0, 2.0)
     state.advance(0.5)
     for k in (1, 2, 3):
+        state.assign_inflow(0, 0, 2.0)
         state.advance(0.5 + k * 0.9e-12)
     assert state.queue_fn(0).times[-1] == state.built_until
     slopes = [state.queue_left_slope(0, t) for t in grid]
@@ -416,11 +448,10 @@ def test_against_fixed_step_reference(seed):
     state = FlowOverTime(net, 2)
     cuts = [0.0, 1.0, 2.5, 4.0, 5.0]
     rates = rng.uniform(0.0, 2.5, size=(2, len(cuts)))
-    for i in range(2):
-        for j, a in enumerate(cuts):
-            b = cuts[j + 1] if j + 1 < len(cuts) else horizon
-            state.assign_inflow(i, 0, float(rates[i][j]), a, b)
-    state.advance(horizon)
+    for j in range(len(cuts)):
+        for i in range(2):
+            state.assign_inflow(i, 0, float(rates[i][j]))
+        state.advance(cuts[j + 1] if j + 1 < len(cuts) else horizon)
     state.audit_flow()
 
     inflow_fns = [state.inflow_fn(i, 0) for i in range(2)]
@@ -453,9 +484,11 @@ def test_property_invariants_hold(rates0, rates1, tau, capacity):
     net = one_edge_net(tau, capacity)
     state = FlowOverTime(net, 2)
     step = 0.75
-    for i, rates in enumerate((rates0, rates1)):
-        for j, r in enumerate(rates):
-            state.assign_inflow(i, 0, r, j * step, (j + 1) * step)
+    for j in range(max(len(rates0), len(rates1))):
+        for i, rates in enumerate((rates0, rates1)):
+            if j < len(rates):
+                state.assign_inflow(i, 0, rates[j])
+        state.advance((j + 1) * step)
     horizon = step * max(len(rates0), len(rates1)) + 4.0
     state.advance(horizon)
     worst = state.audit_flow(tol=1e-7)

@@ -11,7 +11,6 @@ from dpeflow.network import (
     Scenario,
     ValidationError,
     block_inflow,
-    export_edge_list,
     import_edge_list,
     import_tntp,
     load_scenario,
@@ -153,6 +152,91 @@ def test_predictor_params_bounds_admit_their_edges():
     assert (params.samples, params.neighborhood_radius) == (1, 0)
 
 
+KINDS = "zero, constant, linear, reg_linear, threshold, perfect, regression"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "nosuch"}, f"predictor.kind must be one of {KINDS}, got 'nosuch'"),
+    ({"delta": 1.0}, f"predictor.kind must be one of {KINDS}, got None"),
+    ({"kind": ["linear"]},
+     f"predictor.kind must be one of {KINDS}, got ['linear']"),
+    ({"kind": "linear", "prediction_horizon": "x"},
+     "predictor.prediction_horizon must be > 0, got 'x'"),
+    ({"kind": "linear", "prediction_horizon": 0},
+     "predictor.prediction_horizon must be > 0, got 0"),
+    ({"kind": "reg_linear", "delta": 0},
+     "predictor.delta must be finite and > 0, got 0"),
+    ({"kind": "reg_linear", "delta": math.inf},
+     "predictor.delta must be finite and > 0, got inf"),
+    ({"kind": "threshold", "threshold": "x"},
+     "predictor.threshold must be a finite number, got 'x'"),
+    ({"kind": "threshold", "high_value": math.nan},
+     "predictor.high_value must be a finite number, got nan"),
+    ({"kind": "regression", "model": 5},
+     "predictor.model must be a string, got 5"),
+])
+def test_predictor_spec_checked_where_read(spec, message):
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    doc["commodities"][0]["predictor"] = spec
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == f"commodity 0: {message}"
+
+
+def test_predictor_spec_bounds_admit_their_edges():
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    specs = [{"kind": k} for k in KINDS.split(", ")] + [
+        {"kind": "linear", "prediction_horizon": math.inf},
+        {"kind": "reg_linear", "delta": 1e-6, "prediction_horizon": 1},
+        {"kind": "threshold", "threshold": -1, "high_value": 0.0},
+        {"kind": "regression", "model": "m.json"},
+        {"kind": "zero", "note": None}]   # keys no predictor reads
+    for spec in specs:
+        doc["commodities"][0]["predictor"] = spec
+        assert scenario_from_dict(doc).commodities[0].predictor_spec == spec
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("network", "edges", 0, "transit_time"), "x",
+     "network edge 0: transit_time must be a number, got 'x'"),
+    (("network", "edges", 0, "capacity"), None,
+     "network edge 0: capacity must be a number, got None"),
+    (("network", "edges", 0, "capacity"), True,
+     "network edge 0: capacity must be a number, got True"),
+    (("network", "edges", 0, "tail"), ["s"],
+     "network edge 0: tail must be a string or an integer, got ['s']"),
+    (("network", "edges", 0, "id"), [0],
+     "network edge 0: id must be an integer, got [0]"),
+    (("network", "nodes", 1), ["v"],
+     "network node 1 must be a string or an integer, got ['v']"),
+    (("commodities", 0, "sink"), {"t": 1},
+     "commodity 0: sink must be a string or an integer, got {'t': 1}"),
+    (("commodities", 0, "inflow", "until"), "x",
+     "commodity 0: inflow 'until' must be a number, got 'x'"),
+    (("commodities", 0, "inflow", "rate"), None,
+     "commodity 0: inflow rate must be a number, got None"),
+    (("commodities", 0, "inflow"), {"times": [0.0, None], "rates": [1, 0]},
+     "commodity 0: inflow times[1] must be a number, got None"),
+    (("inflow_cutoff",), "x", "'inflow_cutoff' must be a number, got 'x'"),
+    (("horizon",), None, "'horizon' must be a number, got None"),
+    (("prediction_step",), "0.25",
+     "'prediction_step' must be a number, got '0.25'"),
+    (("active_tolerance",), [0], "'active_tolerance' must be a number, got [0]"),
+    (("seed",), 1.5, "'seed' must be an integer, got 1.5"),
+], ids=["transit_time", "capacity", "capacity-bool", "tail", "edge-id",
+        "node", "sink", "until", "rate", "inflow-times", "inflow_cutoff",
+        "horizon", "prediction_step", "active_tolerance", "seed"])
+def test_mistyped_scalar_is_a_parse_error(path, value, message):
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ParseError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_duplicate_edge_ids_rejected():
     doc = {"format": "dpe-scenario/1",
            "network": {"nodes": ["a", "b"],
@@ -226,9 +310,9 @@ def test_import_tntp_rejects_short_rows(tmp_path):
 
 
 def test_edge_list_round_trip(tmp_path):
-    net = simple_net()
     p = tmp_path / "edges.csv"
-    export_edge_list(net, p)
+    p.write_text("tail,head,transit_time,capacity\na,b,1.0,2.0\n"
+                 "b,c,2.0,1.0\n")
     again = import_edge_list(p)
     assert len(again.edges) == 2
     assert again.edges[0].transit_time == 1.0

@@ -240,7 +240,7 @@ def test_fifo_fix_keeps_monotone_input_untouched():
 def affine_flow(rate=1.5, capacity=1.0, horizon=40.0):
     net = Network(["a", "b"], [("a", "b", 1.0, capacity)])
     state = FlowOverTime(net, 1)
-    state.assign_inflow(0, 0, rate, 0.0, horizon)
+    state.assign_inflow(0, 0, rate)
     state.advance(horizon)
     return state
 
@@ -261,8 +261,8 @@ def test_regression_shared_model_across_edges():
     net = Network(["a", "b", "c"],
                   [("a", "b", 1.0, 1.0), ("a", "c", 1.0, 1.0)])
     state = FlowOverTime(net, 1)
-    state.assign_inflow(0, 0, 1.5, 0.0, 40.0)
-    state.assign_inflow(0, 1, 2.0, 0.0, 40.0)
+    state.assign_inflow(0, 0, 1.5)
+    state.assign_inflow(0, 1, 2.0)
     state.advance(40.0)
     model = train_regression(state, lags=2, samples=5, sample_step=1.0,
                              neighborhood_radius=2, shared=True)

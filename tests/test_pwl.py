@@ -561,3 +561,23 @@ def test_trusted_construction_stays_in_pwl():
                   if isinstance(n, ast.Attribute)}
         names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
         assert not names & {"_trusted", "__new__"}, path.name
+
+
+def test_every_imported_name_is_read():
+    # no linter runs on the package, so this stands in for its F401 check;
+    # an import kept on purpose says so with ``# noqa: F401`` on its line
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue   # imports there are the package's exports
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    assert name in read, f"{path.name}:{alias.lineno} {name}"
