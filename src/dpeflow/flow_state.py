@@ -366,12 +366,11 @@ class FlowOverTime:
             times = (0.0, self.built_until) if self.built_until > EPS \
                 else (0.0,)
             return PiecewiseLinearFn(times, (0.0,) * len(times), 0.0, 0.0)
+        # once caught up, the last queue breakpoint lies within EPS of the
+        # built horizon, so the breakpoints cover it
         self._catch_up(es)
-        times, values = es.q_times, es.q_values
-        if times[-1] < self.built_until - EPS:
-            times = times + [self.built_until]
-            values = values + [values[-1]]
-        return PiecewiseLinearFn(tuple(times), tuple(values), 0.0, 0.0)
+        return PiecewiseLinearFn(tuple(es.q_times), tuple(es.q_values),
+                                 0.0, 0.0)
 
     def queue_left_slope(self, edge: int, t: float) -> float:
         """Left derivative of ``queue_fn(edge)`` at ``t``; past its last
@@ -383,8 +382,6 @@ class FlowOverTime:
         self._catch_up(es)
         times, values = es.q_times, es.q_values
         if t > times[-1]:
-            if times[-1] < self.built_until - EPS:
-                return 0.0   # queue_fn's flat piece up to the built horizon
             t = times[-1]
         if t <= times[0]:
             return 0.0

@@ -335,10 +335,10 @@ class RegressionPredictor:
         width = 1 + (1 + model.neighborhood_radius) * model.lags
         index, coef, missing = [], [], []
         for e in edges:
-            neighbors = [x.id for x in history.in_edges(e.tail)
-                         if x.id != e.id][: model.neighborhood_radius]
-            index.append([e.id] + neighbors + [pad] * (
-                model.neighborhood_radius - len(neighbors)))
+            ids = _feature_edges(e, history.in_edges(e.tail),
+                                 model.neighborhood_radius)
+            index.append(ids + [pad] * (
+                1 + model.neighborhood_radius - len(ids)))
             rows = model.coefficients.get(e.id, model.coefficients.get(-1))
             if rows is None:
                 missing.append(e.id)
@@ -445,6 +445,13 @@ class RegressionModel:
                    {-1: [list(row) for _ in range(samples)]})
 
 
+def _feature_edges(edge, tail_in_edges, radius: int) -> list[int]:
+    """Ids of the edges whose lagged queues are the features of ``edge``:
+    the edge, then the first ``radius`` in-edges of its tail (networks have
+    no self-loops, so the edge is not among them)."""
+    return [edge.id] + [x.id for x in tail_in_edges[:radius]]
+
+
 def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
@@ -509,12 +516,12 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
 
     def rows_for(eid):
         edge = net.edges[eid]
-        neighbors = [e.id for e in net.in_edges[edge.tail]
-                     if e.id != eid][:neighborhood_radius]
+        features = _feature_edges(edge, net.in_edges[edge.tail],
+                                  neighborhood_radius)
         Xs, Ys = [], []
         for per_edge, grid in zip(sampled, grids):
             X = np.zeros((len(grid), n_feat))
-            for c, fid in enumerate([eid] + neighbors):
+            for c, fid in enumerate(features):
                 for k in range(lags):
                     X[:, c * lags + k] = per_edge[fid][0][k]
             Xs.append(X)
@@ -610,6 +617,9 @@ def build_predictor(spec: dict, params, base_dir=None, final_state=None):
         return PerfectPredictor(final_state)
     if "model" in spec:   # the regression kind
         path = spec["model"]
+        if not isinstance(path, str):
+            raise ValueError(
+                f"predictor.model must be a string, got {path!r}")
         if base_dir is not None:
             import os
             path = os.path.join(base_dir, path)

@@ -20,7 +20,8 @@ scenarios, forecasts or flows.  The results of the algebra,
 :func:`compose_monotone`, :func:`pointwise_min`, :func:`prune` and
 :func:`restrict_from`, are float arithmetic on functions that passed those
 checks, so they are built by ``_trusted``, which skips them; it is used in
-this module only.
+this module only.  :func:`pointwise_min` is the lower envelope of two
+functions, as label correction merges a candidate into a label.
 
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
@@ -325,89 +326,57 @@ def _preimages(inner: PiecewiseLinearFn, y: float) -> list[float]:
     return out
 
 
-def _argmin_line(anchors, slopes, order):
-    best = 0
-    for j in range(1, len(anchors)):
-        if (anchors[j], slopes[j], order[j]) < (anchors[best], slopes[best], order[best]):
-            best = j
-    return best
+def _lower_two(fa, sf, ga, sg, x0, x_end):
+    """Vertices on [x0, x_end), x_end possibly +inf, and final slope of the
+    lower envelope of the lines fa + sf*(x - x0) and ga + sg*(x - x0).  The
+    line lower at x0 leads, on equal values the one with the smaller slope,
+    then f's; two lines cross at most once."""
+    if (ga, sg) < (fa, sf):
+        fa, sf, ga, sg = ga, sg, fa, sf
+    verts = [(x0, fa)]
+    # slopes closer than this are parallel for our purposes: a crossing
+    # they produce sits at value_gap / slope_gap, far outside any horizon
+    if sg >= sf - EPS * max(1.0, abs(sf)):
+        return verts, sf
+    # here ga > fa, so the crossing lies after x0
+    t = x0 + (ga - fa) / (sf - sg)
+    if t >= x_end - EPS:
+        return verts, sf
+    if t > x0 + EPS:
+        verts.append((t, fa + sf * (t - x0)))
+    return verts, sg
 
 
-def _envelope_forward(anchors, slopes, order, x0, x_end):
-    """Vertices of the lower envelope of lines value_i(x) = anchors[i] +
-    slopes[i]*(x - x0) on [x0, x_end); x_end may be +inf.
+def pointwise_min(f: PiecewiseLinearFn,
+                  g: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """Exact lower envelope of two piecewise-linear functions.
 
-    Returns (vertices, final_slope); vertices start at x0.
+    New breakpoints appear at segment crossings; where the two coincide, f's
+    segment is kept.  The result is pruned, and ends that restate the
+    boundary slopes are dropped.
     """
-    cur = _argmin_line(anchors, slopes, order)
-    verts = [(x0, anchors[cur])]
-    x = x0
-    while True:
-        best_t = None
-        best_j = None
-        v_cur = anchors[cur] + slopes[cur] * (x - x0)
-        # slopes closer than this are parallel for our purposes: a crossing
-        # they produce sits at value_gap / slope_gap, far outside any horizon
-        par = EPS * max(1.0, abs(slopes[cur]))
-        for j in range(len(anchors)):
-            if j == cur or slopes[j] >= slopes[cur] - par:
-                continue
-            v_j = anchors[j] + slopes[j] * (x - x0)
-            t = x + max(v_j - v_cur, 0.0) / (slopes[cur] - slopes[j])
-            if t >= x_end - EPS:
-                continue
-            if (best_t is None or t < best_t
-                    or (t == best_t
-                        and (slopes[j], order[j]) < (slopes[best_j], order[best_j]))):
-                best_t, best_j = t, j
-        if best_t is None:
-            return verts, slopes[cur]
-        if best_t > x + EPS:
-            verts.append((best_t, anchors[cur] + slopes[cur] * (best_t - x0)))
-        cur = best_j
-        x = max(best_t, x)
-
-
-def pointwise_min(fns: list[PiecewiseLinearFn]) -> PiecewiseLinearFn:
-    """Exact lower envelope of piecewise-linear functions.
-
-    New breakpoints appear at segment crossings; ties between coincident
-    segments keep the earlier-listed function's segment.  The result is
-    pruned, and ends that restate the boundary slopes are dropped.
-    """
-    if not fns:
-        raise ValueError("pointwise_min of an empty list (encode unreachable explicitly)")
-    if len(fns) == 1:
-        return fns[0]
-    grid = _merged_times([f.times for f in fns])
-    # rows[k][j] is fns[j] at grid[k]
-    rows = list(zip(*(_sample(f, grid) for f in fns)))
-    order = list(range(len(fns)))
-    pts: list[tuple[float, float]] = []
+    grid = _merged_times([f.times, g.times])
+    fs, gs = _sample(f, grid), _sample(g, grid)
 
     # left tail: mirror the axis and walk forward from the first grid point
-    mirrored, mslope = _envelope_forward(
-        rows[0], [-f.slope_before_first for f in fns], order, -grid[0],
-        math.inf)
+    mirrored, mslope = _lower_two(fs[0], -f.slope_before_first,
+                                  gs[0], -g.slope_before_first,
+                                  -grid[0], math.inf)
     slope_before = -mslope
-    for x, v in reversed(mirrored[1:]):
-        pts.append((-x, v))
+    pts = [(-x, v) for x, v in reversed(mirrored[1:])]
 
-    for a, b, ya, yb in zip(grid, grid[1:], rows, rows[1:]):
-        lo = min(ya)
-        j = ya.index(lo)
-        if yb[j] <= min(yb) and ya.count(lo) == 1:
+    for a, b, fa, fb, ga, gb in zip(grid, grid[1:], fs, fs[1:], gs, gs[1:]):
+        if fa < ga and fb <= gb or ga < fa and gb <= fb:
             # one piece is lowest at a and still lowest at b: being linear,
-            # no other piece can cross it inside, so it is the envelope
-            pts.append((a, lo))
+            # the other cannot cross it inside, so it is the envelope
+            pts.append((a, min(fa, ga)))
             continue
-        slopes = [(vb - va) / (b - a) for va, vb in zip(ya, yb)]
-        verts, _ = _envelope_forward(ya, slopes, order, a, b)
-        pts.extend(verts)
+        pts.extend(_lower_two(fa, (fb - fa) / (b - a),
+                              ga, (gb - ga) / (b - a), a, b)[0])
 
-    verts, slope_after = _envelope_forward(
-        rows[-1], [f.slope_after_last for f in fns], order, grid[-1],
-        math.inf)
+    verts, slope_after = _lower_two(fs[-1], f.slope_after_last,
+                                    gs[-1], g.slope_after_last,
+                                    grid[-1], math.inf)
     pts.extend(verts)
 
     if not (slope_before or slope_after or any(v for _, v in pts)):

@@ -42,21 +42,23 @@ e = (v, w):
   from ``start`` to its first breakpoint;
 - otherwise the candidate l_w composed with T_e becomes v's label if v has
   none;
-- otherwise it replaces v's label by ``pointwise_min`` of the two, if it
-  lies below that label somewhere on [start, inf) by more than EPS
-  relative (on the merged grid and both tails).
+- otherwise it replaces v's label by ``pointwise_min(label, candidate)``,
+  the lower envelope of the two functions (the label's segment kept where
+  they coincide), if it lies below that label somewhere on [start, inf) by
+  more than EPS relative (on the merged grid and both tails).
 
 A changed node not yet popped in this pass is pushed with its new key; one
 popped already waits for the next pass.  Each candidate and each label is
-pruned once, inside ``compose_monotone`` and ``pointwise_min`` that build
-it.  Predicted exit times exceed the departure time by at least the transit
-time, so keys only grow along the first pass (it pops in Dijkstra order)
-and optimal arrivals are attained by simple paths.  Every pass pops a node
-at most once, and a node is popped after every change, in the same pass or
-the next, so each (edge, head label) pair is composed at most once.  As in
-Bellman-Ford, a node whose best path has k edges holds its final label
-after pass k, labels settle within |V| - 1 passes, and a node popped more
-than |V| + 2 times signals a malformed exit-time function and aborts.
+pruned once, inside ``compose_monotone`` and the two-function
+``pointwise_min`` that build it.  Predicted exit times exceed the departure
+time by at least the transit time, so keys only grow along the first pass
+(it pops in Dijkstra order) and optimal arrivals are attained by simple
+paths.  Every pass pops a node at most once, and a node is popped after
+every change, in the same pass or the next, so each (edge, head label)
+pair is composed at most once.  As in Bellman-Ford, a node whose best path
+has k edges holds its final label after pass k, labels settle within
+|V| - 1 passes, and a node popped more than |V| + 2 times signals a
+malformed exit-time function and aborts.
 """
 
 from __future__ import annotations
@@ -310,7 +312,7 @@ def _corrected_labels(network, sink, exit_fns, start):
                 if old is not None:
                     if not _undercuts(new, old, start):
                         continue
-                    new = pointwise_min([old, new])
+                    new = pointwise_min(old, new)
                 labels[v] = new
                 excess[v] = _excess(new, start)
                 if v in done:

@@ -534,3 +534,11 @@ def test_build_predictor_loads_model_from_file(tmp_path):
     pred = build_predictor({"kind": "regression", "model": "m.json"},
                            params, base_dir=tmp_path)
     assert pred.model.lags == 1
+
+
+@pytest.mark.parametrize("base_dir", [None, "."])
+def test_build_predictor_rejects_a_model_that_is_no_path(base_dir):
+    with pytest.raises(ValueError, match=r"^predictor.model must be a "
+                                         r"string, got 5$"):
+        build_predictor({"kind": "regression", "model": 5},
+                        PredictorParams(), base_dir=base_dir)

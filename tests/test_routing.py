@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -471,7 +472,7 @@ def reference_labels(network, sink, exit_fns, start=-math.inf):
                 hit = composed[e.id] = (head,
                                         compose_monotone(head, exit_fns[e.id]))
             candidates.append(hit[1])
-        new = pointwise_min(candidates)
+        new = reduce(pointwise_min, candidates)
         old = labels.get(v)
         if old is None or labels_differ(old, new):
             labels[v] = new
