@@ -7,13 +7,13 @@ the inflow capped at capacity.  Commodities share each edge under FIFO, so an
 exit interval carries the commodity mix of the matching entry interval.
 
 The flow is extended one sub-phase at a time, from one rate change to the
-next: inflow rates are assigned at the built horizon and hold until the
-next advance, so an advance extends each live edge over one piece of
-constant inflow at the last assigned rates, with no search for inflow
-breakpoints.  Queues are the induced piecewise-linear trajectories, and
-outflows are derived while advancing by mapping each entry piece through
-the edge's exit-time function via a running cursor (flat stretches of the
-exit-time map carry no entering mass, so earlier entries keep discharging).
+next: an inflow rate is assigned at the built horizon and holds until the
+next assignment, so an advance extends each live edge over one piece of
+constant inflow, with no search for inflow breakpoints.  Queues are the
+induced piecewise-linear trajectories, and outflows are derived while
+advancing by mapping each entry piece through the edge's exit-time function
+via a running cursor (flat stretches of the exit-time map carry no entering
+mass, so earlier entries keep discharging).
 
 State is made on first assignment.  An edge's state is made on the edge's
 first ``assign_inflow``, and a commodity's breakpoint lists on an edge on
@@ -22,21 +22,28 @@ with what a built, never-assigned edge or commodity gives (no inflow, no
 outflow, an empty queue up to the built horizon) and builds nothing.  So a
 run holds state only for the edges and commodities its flow reached.
 
-Advancing is sparse in edges and in commodities.  An edge is live while its
-queue, its last inflow rate of some commodity, or its last aggregate
-outflow rate (0 only when every commodity's is) is non-zero; only live
-edges are advanced, in edge-id order.  Once all of these are 0 the edge
-goes dormant: advancing it would only move its flat, empty queue to the
-built horizon and its exit cursor to the horizon plus the transit time.  A dormant edge does exactly that when it wakes, on its
-next ``assign_inflow``, and when its queue is read as a function
-(``queue_fn``, ``audit_flow``), so every recorded breakpoint is the one a
-full sweep would have produced; an edge made at time T wakes the same way,
-with the queue breakpoints [0, T].  On each edge only the commodities that
-ever had a non-zero inflow there are visited; all other commodities carry
-exact zeros, whose omission leaves every sum unchanged.
+Advancing is sparse in edges and in commodities.  Only live edges are
+advanced, in edge-id order.  An edge goes dormant once a free-flow piece
+has emitted the outflow rates its inflow rates give (all 0 on an idle
+edge): every later piece at those rates emits them again, so advancing it
+would only move its flat, empty queue to the built horizon and its exit
+cursor to the horizon plus the transit time.  A dormant edge does exactly
+that when it wakes, on its next ``assign_inflow``, and when its queue is
+read as a function (``queue_fn``, ``queue_left_slope``, ``audit_flow``), so
+every recorded breakpoint is the one a full sweep would have produced; an
+edge made at time T wakes the same way, with the queue breakpoints [0, T].
+On each edge only the commodities that ever had a non-zero inflow there are
+visited; all other commodities carry exact zeros, whose omission leaves
+every sum unchanged.
 
-The time of every outflow breakpoint is also kept in one sorted index as it
-is recorded, so the next rate change after a time is one bisection.
+An edge is steady while its last extension was one queued piece at the
+inflow rates that hold, raised no event and emitted its outflow if it had
+inflow: the next piece repeats those outflow rates, so it is made in
+constant time (not counted in ``edges_advanced``), unless it may deplete.
+
+The times of the outflow breakpoints go into one sorted index, and per
+commodity into another, as they are recorded; so the next rate change after
+a time, and whether a commodity's rates changed between two, are bisections.
 """
 
 from __future__ import annotations
@@ -62,16 +69,17 @@ class SimEvent:
 
 class _EdgeState:
     __slots__ = (
-        "edge", "live", "commodities", "assigned", "in_times", "in_rates",
-        "out_times", "out_rates", "agg_times", "agg_rates",
+        "edge", "live", "steady", "in_total", "commodities", "in_times",
+        "in_rates", "out_times", "out_rates", "agg_times", "agg_rates",
         "q_times", "q_values", "q_slope_last", "exit_cursor",
     )
 
     def __init__(self, edge):
         self.edge = edge
         self.live = False
+        self.steady = False   # see the module docstring
+        self.in_total = 0.0   # the inflow rates' sum at the last full extension
         self.commodities: list[int] = []   # sorted, ever had inflow > 0
-        self.assigned: set[int] = set()     # assigned since the last advance
         # keyed by the commodities ever assigned to the edge
         self.in_times: dict[int, list[float]] = {}
         self.in_rates: dict[int, list[float]] = {}
@@ -88,12 +96,12 @@ class _EdgeState:
 class FlowOverTime:
     """Append-only record of all edge in/outflow rates and queues.
 
-    One sub-phase is one ``assign_inflow`` per (commodity, edge) that carries
-    flow, then one ``advance``: the assigned rates hold from the built
-    horizon to the new one, and a commodity not assigned to an edge enters
-    it at rate 0.  An assignment wakes a dormant edge.  ``edges_advanced``
-    counts the edge extensions made.  Every queue starts empty, and edge
-    state is made on first assignment (see the module docstring).
+    One sub-phase is one ``assign_inflow`` per (commodity, edge) whose rate
+    changes, then one ``advance``: an assigned rate holds from the built
+    horizon until the next assignment, and a commodity never assigned to an
+    edge enters it at rate 0.  An assignment wakes a dormant edge.  Every
+    queue starts empty, and edge state is made on first assignment (see the
+    module docstring).
     """
 
     def __init__(self, network: Network, n_commodities: int):
@@ -106,6 +114,9 @@ class FlowOverTime:
         self._live: list[int] = []          # sorted ids of live edges
         # sorted times of every outflow breakpoint recorded by _emit
         self._rate_changes: list[float] = []
+        # per commodity, sorted times its outflow rates changed at
+        self._outflow_changes: list[list[float]] = [
+            [] for _ in range(n_commodities)]
         # per commodity, sorted ids of the edges it ever entered
         self._commodity_edges: list[list[int]] = [
             [] for _ in range(n_commodities)]
@@ -114,11 +125,10 @@ class FlowOverTime:
 
     def assign_inflow(self, commodity: int, edge: int, rate: float):
         """Set the commodity's inflow rate on the edge from the built horizon
-        until the next advance that moves it.
+        on; it holds until the next assignment.
 
-        The assignment is pending until then: re-assigning overwrites it,
-        and an advance within EPS of the built horizon, which extends
-        nothing, keeps it.
+        Re-assigning before an advance moves the horizon overwrites it; an
+        advance within EPS of the built horizon extends nothing.
         """
         if not (rate >= 0.0) or not math.isfinite(rate):
             raise ValueError(f"inflow rate must be finite and >= 0, got {rate}")
@@ -135,8 +145,9 @@ class FlowOverTime:
             es.in_rates[commodity] = [0.0]
             es.out_times[commodity] = [0.0]
             es.out_rates[commodity] = [0.0]
+        if rate != es.in_rates[commodity][-1]:
+            es.steady = False
         self._rc_append(times, es.in_rates[commodity], self.built_until, rate)
-        es.assigned.add(commodity)
         if rate > 0.0 and commodity not in es.commodities:
             insort(es.commodities, commodity)
             insort(self._commodity_edges[commodity], edge)
@@ -163,9 +174,8 @@ class FlowOverTime:
 
     def advance(self, until: float) -> list[SimEvent]:
         """Extend the queues and outflows of the live edges to the new built
-        horizon under the pending assignments; dormant edges are skipped.
-        An advance to within EPS of the built horizon extends nothing and
-        keeps the pending assignments.
+        horizon at the inflow rates that hold; dormant edges are skipped.
+        An advance to within EPS of the built horizon extends nothing.
 
         Returns the outflow-change and queue-depletion events discovered along
         the way (their times may lie beyond ``until``: outflows are knowable
@@ -182,24 +192,15 @@ class FlowOverTime:
         still_live = []
         for eid in self._live:
             es = self._edges[eid]
-            self._advance_edge(es, t0, t1, events)
-            if self._is_busy(es):
-                still_live.append(eid)
-            else:
-                es.live = False
-        self.edges_advanced += len(self._live)
+            if not (es.steady and self._extend_steady(es, t0, t1)):
+                self.edges_advanced += 1
+                if not self._advance_edge(es, t0, t1, events):
+                    es.live = False
+                    continue
+            still_live.append(eid)
         self._live = still_live
         self.built_until = until
         return events
-
-    @staticmethod
-    def _is_busy(es):
-        """Whether advancing the edge could do more than keep an empty queue
-        empty.  ``_emit`` sets every commodity's outflow rate with the
-        aggregate one, which is 0 only when all of them are."""
-        if es.q_values[-1] != 0.0 or es.agg_rates[-1] != 0.0:
-            return True
-        return any(es.in_rates[i][-1] != 0.0 for i in es.commodities)
 
     def _catch_up(self, es):
         """Bring a dormant edge to the built horizon as advancing it would
@@ -209,17 +210,14 @@ class FlowOverTime:
             es.exit_cursor = self.built_until + es.edge.transit_time
 
     def _advance_edge(self, es, t0, t1, events):
-        """Extend the edge over [t0, t1) at the pending inflow rates; the
-        commodities not assigned since the last advance drop to 0 at t0."""
+        """Extend the edge over [t0, t1) at the inflow rates that hold, and
+        return whether it stays live (see the module docstring)."""
         tau = es.edge.transit_time
         cap = es.edge.capacity
-        comms = es.commodities
-        for i in comms:
-            if i not in es.assigned and es.in_rates[i][-1] != 0.0:
-                self._rc_append(es.in_times[i], es.in_rates[i], t0, 0.0)
-        es.assigned.clear()
-        rates = [es.in_rates[i][-1] for i in comms]
-        r = sum(rates)
+        rates = [es.in_rates[i][-1] for i in es.commodities]
+        r = es.in_total = sum(rates)
+        n_events = len(events)
+        es.steady = asleep = False
         # the last queue breakpoint of a live edge lies within EPS before t0
         q0 = es.q_values[-1]
         p = t0
@@ -239,29 +237,56 @@ class FlowOverTime:
                         pe, depleted = t1, True
                 q1 = 0.0 if depleted else q0 + slope * (pe - p)
                 self._q_append(es, pe, q1, slope)
-                if r > EPS:
-                    exit_end = pe + tau + q1 / cap
-                    self._emit(es, [cap * ri / r for ri in rates], cap, exit_end, events)
+                emitted = r <= EPS or self._emit(   # no inflow, no outflow
+                    es, [cap * ri / r for ri in rates], cap,
+                    pe + tau + q1 / cap, events)
                 if depleted:
                     events.append(SimEvent(
                         time=pe, kind="queue_depleted", edge=es.edge.id))
+                # an undepleted queued piece reaches t1: it is the only one
+                es.steady = emitted and not depleted and len(events) == n_events
                 q0 = q1
                 p = pe
             else:
                 self._q_append(es, t1, 0.0, 0.0)
-                self._emit(es, rates, min(r, cap), t1 + tau, events)
+                asleep = self._emit(es, rates, min(r, cap), t1 + tau, events)
                 p = t1
+        return not asleep
+
+    def _extend_steady(self, es, t0, t1):
+        """Make a steady edge's queued piece over [t0, t1) as
+        ``_advance_edge`` would, in constant time: its outflow rates are the
+        ones last emitted.  False, changing nothing, unless it is queued and
+        does not deplete by t1 + EPS."""
+        cap, r, q0 = es.edge.capacity, es.in_total, es.q_values[-1]
+        q0 = 0.0 if q0 <= EPS else q0
+        slope = r - cap
+        if not (q0 > 0.0 or r > cap + EPS) \
+                or slope < -EPS and t0 + q0 / -slope <= t1 + EPS:
+            return False
+        q1 = q0 + slope * (t1 - t0)
+        self._q_append(es, t1, q1, slope)
+        exit_end = t1 + es.edge.transit_time + q1 / cap
+        if r > EPS and exit_end > es.exit_cursor + EPS:
+            es.exit_cursor = exit_end
+        return True
 
     def _emit(self, es, comm_rates, agg_rate, exit_end, events):
+        """Set the outflow rates from the exit cursor to ``exit_end``; False,
+        doing nothing, unless that is past the cursor by more than EPS."""
         start = es.exit_cursor
         if exit_end <= start + EPS:
-            return
+            return False
         n_events = len(events)
         for i, rate in zip(es.commodities, comm_rates):
             times, rates = es.out_times[i], es.out_rates[i]
             before = rates[-1]
-            self._rc_append(times, rates, start, rate)
             if rate != before:
+                changes = self._outflow_changes[i]
+                if abs(start - times[-1]) <= EPS:
+                    insort(changes, times[-1])   # merged into that breakpoint
+                insort(changes, start)
+                self._rc_append(times, rates, start, rate)
                 events.append(SimEvent(
                     time=start, kind="outflow_change", edge=es.edge.id,
                     commodity=i, detail=f"{before:g}->{rate:g}"))
@@ -277,6 +302,7 @@ class FlowOverTime:
             # there (an entry within EPS of 0 is never returned)
             insort(self._rate_changes, start)
         es.exit_cursor = exit_end
+        return True
 
     def _q_append(self, es, t, v, slope):
         v = max(v, 0.0)
@@ -397,6 +423,14 @@ class FlowOverTime:
         changes = self._rate_changes
         j = bisect_right(changes, after + EPS)
         return changes[j] if j < len(changes) else None
+
+    def outflow_changed(self, commodity: int, after: float,
+                        until: float) -> bool:
+        """Whether an outflow rate of the commodity changed at a time in
+        (after, until]; a change merged into an earlier breakpoint counts at
+        both times."""
+        changes = self._outflow_changes[commodity]
+        return bisect_right(changes, after) < bisect_right(changes, until)
 
     # ------------------------------------------------------------------ audit
 

@@ -212,6 +212,9 @@ class Scenario:
         if c.sink not in reachable:
             raise ValidationError(
                 f"{name}: sink {c.sink!r} unreachable from source {c.source!r}")
+        if c.inflow.times[0] < 0:
+            raise ValidationError(f"{name}: inflow times must be >= 0, got "
+                                  f"{c.inflow.times[0]}")
         if any(r < 0 for r in c.inflow.values):
             raise ValidationError(f"{name}: inflow rates must be non-negative")
         if c.inflow.values[-1] != 0.0:

@@ -151,25 +151,26 @@ def compute_labels(network: Network, sink: str,
     positive shift, backward label correction on the exit times restricted
     to [start, inf) otherwise (see the module docstring for why that
     suffices).  ``restricted`` is a dict shared by the calls on one exit
-    table and one ``start``: the first call that runs label correction fills
-    it with the table cut at ``start``, and the later ones reuse that cut.
+    table and one ``start``: the first call fills it with what the labels
+    read, the shifts c_e (floats) of a shift-only table or else the table cut
+    at ``start``, and the later ones reuse it.
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
     if start != -math.inf and not math.isfinite(start):
         raise ValueError(f"label start must be finite or -inf, got {start!r}")
-    table = dict(exit_fns)
-    shifts = _positive_shifts(table)
-    if shifts is not None:
-        labels = _ShiftLabels(network.in_edges, sink, shifts)
+    if restricted is None:
+        restricted = {}
+    if not restricted:
+        shifts = _positive_shifts(exit_fns)
+        restricted.update(shifts if shifts is not None else (
+            (eid, f if start == -math.inf else restrict_from(f, start))
+            for eid, f in exit_fns.items()))
+    if isinstance(next(iter(restricted.values()), 0.0), float):
+        table = exit_fns
+        labels = _ShiftLabels(network.in_edges, sink, restricted)
     else:
-        if start != -math.inf:
-            if restricted is None:
-                restricted = {}
-            if not restricted:
-                restricted.update((eid, restrict_from(f, start))
-                                  for eid, f in table.items())
-            table = restricted
+        table = restricted
         labels = _corrected_labels(network, sink, table, start)
     return LabelSet(network, sink, labels, table, active_tolerance, start)
 

@@ -6,8 +6,12 @@ arrival labels derived from them; the resulting active edges stay fixed for
 the round.  Labels are asked for at the round start only, so they are
 computed exactly from that time on and not before it (see ``routing``).
 Within a round the flow evolves exactly: sub-phases advance from
-one known rate change to the next, and on each sub-phase the node inflow of
-every commodity is split equally over its active out-edges.
+one known rate change to the next, and the node inflow of every commodity is
+split equally over its active out-edges.  Work follows the rate changes: a
+commodity's node inflows are read again only when its outflows or inflow
+profile changed, a (commodity, node) pair is split again only at a round
+start or when its rate changed, and assigned rates hold, so only changes
+are assigned (0 where a pair's split no longer reaches).
 
 Sub-phase boundaries never overrun the shortest transit time, so every rate
 change that could affect a decision is already materialized when it is
@@ -124,6 +128,11 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
     horizon = scenario.horizon
     tau_min = net.min_transit_time
     profile_marks = sorted({t for c in comms for t in c.inflow.times})
+    # per commodity, node inflows last read and node -> (rate, active ids)
+    inflows: list[dict[str, float]] = [{} for _ in comms]
+    splits: list[dict[str, tuple[float, tuple[int, ...]]]] = [
+        {} for _ in comms]
+    last_at = -math.inf
 
     # at least one round, so that injected flow is always routed
     n_rounds = max(1, math.ceil(horizon / eps - EPS))
@@ -133,8 +142,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         record = RoundRecord(k, round_start)
         history = QueueHistory(state, round_start)
         label_cache: dict[tuple[str, str], LabelSet] = {}
-        # spec key -> its exit table and that table cut at the round start,
-        # which the spec's label sets share
+        # spec key -> its exit table and what the spec's label sets read of
+        # it, the shifts or the table cut at the round start, shared by them
         exit_cache: dict[str, tuple[dict, dict]] = {}
         exit_built = 0
 
@@ -156,7 +165,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             return ls
 
         t = round_start
-        sub_phases, advanced = 0, state.edges_advanced
+        sub_phases, advanced, resplit = 0, state.edges_advanced, 0
         while t < round_end - EPS:
             b = min(round_end, t + tau_min)
             nxt = state.next_rate_change(t)
@@ -166,14 +175,22 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             if j < len(profile_marks):
                 b = min(b, profile_marks[j])
 
+            at = t   # the time the node inflows of the sub-phase are read at
             for i, c in enumerate(comms):
-                for v, rate in _node_inflows(state, net, c, i, t).items():
+                marks = c.inflow.times
+                if (state.outflow_changed(i, last_at, at)
+                        or bisect_right(marks, last_at)
+                        < bisect_right(marks, at)):
+                    inflows[i] = _node_inflows(state, net, c, i, at)
+                elif t != round_start:
+                    continue   # same rates and active sets: the splits hold
+                rates, split = inflows[i], splits[i]
+                for v, rate in rates.items():
                     if v == c.sink or rate <= EPS:
                         continue
                     key = (i, v)
-                    if key in record.active_queries:
-                        active_ids = record.active_queries[key]
-                    else:
+                    active_ids = record.active_queries.get(key)
+                    if active_ids is None:
                         active = labels_for(i).active_edges(v, round_start)
                         active_ids = tuple(e.id for e in active)
                         record.active_queries[key] = active_ids
@@ -186,18 +203,32 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                         raise StrandedFlowError(
                             f"commodity {c.id} has inflow {rate:g} at {v!r} "
                             f"at time {t:g} but no active edge")
+                    old = split.get(v)
+                    if old == (rate, active_ids):
+                        continue
                     share = rate / len(active_ids)
                     for eid in active_ids:
                         state.assign_inflow(i, eid, share)
+                    for eid in old[1] if old else ():
+                        if eid not in active_ids:
+                            state.assign_inflow(i, eid, 0.0)
+                    split[v] = (rate, active_ids)
+                    resplit += 1
+                for v in [v for v in split if not rates.get(v, 0.0) > EPS]:
+                    for eid in split.pop(v)[1]:
+                        state.assign_inflow(i, eid, 0.0)
+                    resplit += 1
+            last_at = at
 
             events.extend(state.advance(b))
             sub_phases += 1
             t = b
 
-        log.debug("round %d at t=%g: %d sub-phases, %d edges advanced, "
-                  "%d exit functions built, %d label sets, %d active queries",
-                  k, round_start, sub_phases, state.edges_advanced - advanced,
-                  exit_built, len(label_cache), len(record.active_queries))
+        log.debug("round %d at t=%g: %d sub-phases, %d pairs re-split, %d "
+                  "edges advanced, %d exit functions built, %d label sets, "
+                  "%d active queries", k, round_start, sub_phases, resplit,
+                  state.edges_advanced - advanced, exit_built,
+                  len(label_cache), len(record.active_queries))
         prev_active.update(record.active_queries)
         if record_rounds:
             rounds.append(record)
@@ -234,9 +265,10 @@ def _exit_fns(predictor, history, net, free_flow):
 
 
 def _node_inflows(state, net, commodity, i, t):
-    """Per-node inflow rates of one commodity at time ``t``."""
+    """Per-node inflow rates of one commodity at time ``t``; its inflow
+    profile is 0 before its first time."""
     rates: dict[str, float] = {}
-    u = commodity.inflow(t)
+    u = commodity.inflow(t) if t >= commodity.inflow.times[0] else 0.0
     if u > EPS:
         rates[commodity.source] = u
     for eid, r in state.outflows_at(i, t):

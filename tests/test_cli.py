@@ -94,6 +94,30 @@ def test_non_finite_inflow_time_is_an_input_error(scenario_file, tmp_path,
     assert not out.exists()
 
 
+def test_inflow_profile_starting_after_zero_runs(scenario_file, tmp_path):
+    # the profile is 0 before its first time: 1 on [2, 5) enters 3 units
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["inflow"] = {"times": [2, 5], "rates": [1, 0]}
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    fields = (out / "metrics.csv").read_text().splitlines()[1].split(",")
+    assert float(fields[3]) == pytest.approx(3.0)   # avg_tt, uncongested
+    assert float(fields[4]) == 3.0                  # inflow_mass
+
+
+def test_negative_inflow_time_is_an_input_error(scenario_file, tmp_path,
+                                                capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["commodities"][0]["inflow"] = {"times": [-2, 5], "rates": [1, 0]}
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: commodity 0: inflow times must be >= 0, got -2.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ('{"*": "linear"}', "commodity 0: predictor must be an object"),
     ('{"0": ["linear"]}', "commodity 0: predictor must be an object"),

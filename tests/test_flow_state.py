@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpeflow.flow_state import FlowOverTime
@@ -59,6 +59,7 @@ def test_pulse_inflow_queue_and_outflow():
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0)
     state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
     state.advance(3.0)
     assert state.queue_at(0, 1.0) == pytest.approx(1.0)
     assert state.queue_at(0, 2.0) == pytest.approx(0.0)
@@ -75,6 +76,7 @@ def test_subcapacity_inflow_passes_through():
     state = FlowOverTime(one_edge_net(2.0, 3.0), 1)
     state.assign_inflow(0, 0, 1.5)
     state.advance(4.0)
+    state.assign_inflow(0, 0, 0.0)
     state.advance(7.0)
     assert state.queue_at(0, 4.0) == 0.0
     f = state.outflow_fn(0, 0)
@@ -93,6 +95,8 @@ def test_fifo_commodity_shares():
     state.assign_inflow(0, 0, 1.0)
     state.assign_inflow(1, 0, 3.0)
     state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
+    state.assign_inflow(1, 0, 0.0)
     state.advance(4.0)
     f0, f1 = state.outflow_fn(0, 0), state.outflow_fn(1, 0)
     for t in (1.0, 1.5, 2.0, 2.9):
@@ -125,27 +129,32 @@ def test_fifo_share_change_travels_with_the_queue():
 # ----------------------------------------------------------------- assignment
 
 
-def test_assignment_window_expires_to_zero():
+def test_assignment_holds_until_the_next_one():
     state = FlowOverTime(one_edge_net(1.0, 5.0), 1)
     state.assign_inflow(0, 0, 1.0)
     state.advance(1.0)
     state.advance(3.0)
+    state.assign_inflow(0, 0, 0.0)
+    state.advance(4.0)
     f = state.inflow_fn(0, 0)
     assert f(0.5) == 1.0
-    assert f(1.5) == 0.0
+    assert f(2.5) == 1.0
+    assert f(3.5) == 0.0
 
 
-def test_assignment_lasts_until_the_next_advance_that_moves_the_horizon():
-    # commodity 0 is not assigned for [1, 2), so it enters at rate 0 there
+def test_each_commodity_keeps_its_rate_until_it_is_re_assigned():
+    # commodity 0 is not assigned at 1, so its rate 1 holds on [1, 2)
     state = FlowOverTime(one_edge_net(1.0, 5.0), 2)
     state.assign_inflow(0, 0, 1.0)
     state.assign_inflow(1, 0, 2.0)
     state.advance(1.0)
     state.assign_inflow(1, 0, 3.0)
     state.advance(2.0)
+    state.assign_inflow(0, 0, 0.0)
+    state.assign_inflow(1, 0, 0.0)
     state.advance(3.0)
     f0, f1 = state.inflow_fn(0, 0), state.inflow_fn(1, 0)
-    assert (f0.times, f0.values) == ((0.0, 1.0), (1.0, 0.0))
+    assert (f0.times, f0.values) == ((0.0, 2.0), (1.0, 0.0))
     assert (f1.times, f1.values) == ((0.0, 1.0, 2.0), (2.0, 3.0, 0.0))
     state.audit_flow()
 
@@ -156,6 +165,7 @@ def test_advance_within_eps_keeps_the_pending_assignments():
     assert state.advance(0.5 * EPS) == []
     assert state.built_until == 0.0
     state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
     state.advance(2.0)
     f = state.inflow_fn(0, 0)
     assert (f.times, f.values) == ((0.0, 1.0), (2.0, 0.0))
@@ -191,6 +201,7 @@ def test_events_cover_saturation_and_depletion():
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0)
     events = state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
     events += state.advance(4.0)
     kinds = {(e.kind, round(e.time, 9)) for e in events}
     assert ("queue_depleted", 2.0) in kinds
@@ -208,7 +219,9 @@ def test_edge_drains_sleeps_and_refills():
     # the outflow (rate 1 on [1, 3)) ends at 3, after which the edge is idle
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0)
-    for t in (1.0, 2.0, 3.0):
+    state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
+    for t in (2.0, 3.0):
         state.advance(t)
     assert state.edges_advanced == 3
     for t in (4.0, 5.0, 6.5):
@@ -222,7 +235,9 @@ def test_edge_drains_sleeps_and_refills():
     # the second burst wakes the edge at 6.5; its outflow starts at 6.5 + 1
     state.assign_inflow(0, 0, 2.0)
     events = []
-    for t in (7.5, 8.5, 10.0):
+    events += state.advance(7.5)
+    state.assign_inflow(0, 0, 0.0)
+    for t in (8.5, 10.0):
         events += state.advance(t)
     assert state.edges_advanced == 6
     assert min(e.time for e in events if e.kind == "outflow_change") == 7.5
@@ -255,17 +270,17 @@ def test_next_rate_change_sees_edges_drain_and_wake():
     state = FlowOverTime(net, 2)
 
     # commodity 0 sends a burst over edges 0 and 1, which drain by 3 and 3.5;
-    # commodity 1 keeps flowing on edge 2 and wakes edge 0 again at 5
+    # commodity 1 keeps flowing on edge 2 and wakes edge 0 again at 5.
+    # (commodity, edge, rate, first and last sub-phase end of the burst)
+    bursts = [(0, 0, 2.0, 0.5, 1.0), (1, 2, 0.5, 0.5, 8.0),
+              (0, 1, 1.0, 1.0, 3.0), (1, 0, 1.5, 5.5, 6.0)]
     for k in range(1, 21):
         t = 0.5 * k   # the sub-phase [t - 0.5, t)
-        if t <= 1.0:
-            state.assign_inflow(0, 0, 2.0)
-        if t <= 8.0:
-            state.assign_inflow(1, 2, 0.5)
-        if 1.0 <= t <= 3.0:
-            state.assign_inflow(0, 1, 1.0)
-        if t in (5.5, 6.0):
-            state.assign_inflow(1, 0, 1.5)
+        for i, e, rate, first, last in bursts:
+            if t == first:
+                state.assign_inflow(i, e, rate)
+            elif t == last + 0.5:
+                state.assign_inflow(i, e, 0.0)
         state.advance(t)
         assert state.next_rate_change(t) == first_breakpoint_after(state, t), t
     assert state.outflow_fn(1, 0).times == (0.0, 6.0, 7.5)
@@ -275,8 +290,9 @@ def test_next_rate_change_sees_edges_drain_and_wake():
             first_breakpoint_after(state, after), after
 
 
-# per round, (commodity, edge, rate) assignments for [t, t + 0.5); a round
-# without assignments lets the edges drain, a later one wakes them
+# per round, (commodity, edge, rate) assignments for [t, t + 0.5); rates
+# hold until re-assigned, so an assignment of 0 lets an edge drain and a
+# later one wakes it
 assignment_rounds = st.lists(
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                        st.sampled_from((0.0, 0.5, 1.0, 2.5))), max_size=3),
@@ -315,6 +331,99 @@ def test_next_rate_change_equals_the_brute_force(rounds, transit_times):
             check(max(after, 0.0))
     for b in reversed(breakpoints):
         check(b)
+
+
+def outflow_breakpoint_in(state, commodity, after, until):
+    """Whether an outflow breakpoint of the commodity on some edge lies in
+    (after, until], read off its outflow functions."""
+    return any(after < t <= until
+               for e in range(len(state.network.edges))
+               for t in state.outflow_fn(commodity, e).times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(assignment_rounds,
+       st.lists(st.sampled_from((0.25, 0.5, 1.0, 1.5)), min_size=3,
+                max_size=3))
+def test_outflow_changed_equals_the_brute_force(rounds, transit_times):
+    net = Network(["a", "b", "c"],
+                  [(a, b, tau, cap) for (a, b, cap), tau in zip(
+                      (("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 0.5)),
+                      transit_times)])
+    state = FlowOverTime(net, 3)
+    step, ends = 0.5, [0.0]
+    for k, assigned in enumerate(rounds + [[]] * 4):
+        for i, e, rate in assigned:
+            state.assign_inflow(i, e, rate)
+        state.advance((k + 1) * step)
+        ends.append((k + 1) * step)
+        for i in range(3):
+            for after in ends:
+                for until in (after, after + step, after + 2.5, 1e9):
+                    assert state.outflow_changed(i, after, until) == \
+                        outflow_breakpoint_in(state, i, after, until)
+
+
+def test_outflow_changed_sees_a_change_merged_within_eps():
+    # a transit time below EPS puts the first outflow breakpoint within EPS
+    # of the initial one at 0, so the new rate is merged into that one: no
+    # breakpoint lies in (0, 1], yet the rate read at 0 changed
+    net = Network(["a", "b"], [("a", "b", 0.4 * EPS, 1.0)])
+    state = FlowOverTime(net, 1)
+    state.assign_inflow(0, 0, 1.0)
+    before = state.outflows_at(0, 0.0)
+    state.advance(1.0)
+    assert state.outflow_fn(0, 0).times == (0.0,)
+    assert not outflow_breakpoint_in(state, 0, 0.0, 1.0)
+    assert state.outflows_at(0, 0.0) != before
+    # the change counts at the time it was recorded at and at the breakpoint
+    # it was merged into
+    assert state.outflow_changed(0, 0.0, 1.0)
+    assert state.outflow_changed(0, 0.0, 0.5 * EPS)
+    assert state.outflow_changed(0, -1.0, 0.0)
+    assert not state.outflow_changed(0, EPS, 1.0)
+
+
+class FullExtensions(FlowOverTime):
+    """Clears the steadiness of every edge before each advance, so that
+    every live edge is extended in full."""
+
+    def advance(self, until):
+        for es in self._edges:
+            if es is not None:
+                es.steady = False
+        return super().advance(until)
+
+
+# per segment, the two commodities' rates and the sub-phase lengths they
+# hold for
+segments = st.lists(
+    st.tuples(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+              st.lists(st.floats(0.01, 1.5), min_size=1, max_size=6)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments, st.floats(0.25, 2.0), st.floats(0.5, 3.0))
+# a queue of 1 drains at rate 1/2 with steady outflow shares, to 0 at 3
+@example([((2.0, 0.0), [1.0]), ((0.5, 0.0), [0.5] * 4)], 1.0, 1.0)
+def test_steady_extension_matches_the_full_extension(segments, tau,
+                                                     capacity):
+    net = one_edge_net(tau, capacity)
+    steady, full = FlowOverTime(net, 2), FullExtensions(net, 2)
+    t = 0.0
+    for rates, lengths in segments + [((0.0, 0.0), [2.0] * 6)]:
+        for state in (steady, full):
+            for i, rate in enumerate(rates):
+                state.assign_inflow(i, 0, rate)
+        for length in lengths:
+            t += length
+            assert [(e.time.hex(), e.kind, e.edge, e.commodity, e.detail)
+                    for e in steady.advance(t)] == \
+                [(e.time.hex(), e.kind, e.edge, e.commodity, e.detail)
+                 for e in full.advance(t)]
+    assert readings(steady, [0.0, t / 3, t]) == readings(full, [0.0, t / 3, t])
+    assert steady.edges_advanced <= full.edges_advanced
 
 
 THREE_EDGES = Network(["a", "b", "c"], [("a", "b", 1.0, 1.0),
@@ -369,6 +478,8 @@ def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
 
     # the queue functions read above end at 3; edge 2 wakes at 5
     assert lazy.advance(1.0) == built.advance(1.0)
+    for state in (lazy, built):
+        state.assign_inflow(0, 0, 0.0)
     assert lazy.advance(3.0) == built.advance(3.0)
     after = (0.0, 1.0, 2.0, 3.0, 4.0)
     assert readings(lazy, after) == readings(built, after)
@@ -379,6 +490,8 @@ def test_untouched_edges_and_commodities_read_as_zero_rate_ones():
         state.assign_inflow(1, 2, 1.5)
         assert state.queue_fn(2).times == (0.0, 5.0)
     assert lazy.advance(6.0) == built.advance(6.0)
+    for state in (lazy, built):
+        state.assign_inflow(1, 2, 0.0)
     assert lazy.advance(8.0) == built.advance(8.0)
     assert lazy.queue_fn(2).times == (0.0, 5.0, 6.0, 6.5, 8.0)
     later = (0.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0)
@@ -414,19 +527,20 @@ def test_queue_left_slope_matches_the_queue_function():
     # dormant from 3 on, so its slope is read after catching up to 6.5
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0)
-    for t in (1.0, 2.0, 3.0, 6.5):
+    state.advance(1.0)
+    state.assign_inflow(0, 0, 0.0)
+    for t in (2.0, 3.0, 6.5):
         state.advance(t)
     slopes = [state.queue_left_slope(0, t) for t in grid]
     assert slopes == [0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0]
     assert slopes == [slope_of_queue_fn(state, t) for t in grid]
     # advances shorter than EPS leave the built horizon at the last queue
     # breakpoint, so past it both readers extend the rising piece; the
-    # second one moves the horizon by 1.8e-12, so the rate is re-assigned
+    # second one moves the horizon by 1.8e-12 at the rate that holds
     state = FlowOverTime(one_edge_net(1.0, 1.0), 1)
     state.assign_inflow(0, 0, 2.0)
     state.advance(0.5)
     for k in (1, 2, 3):
-        state.assign_inflow(0, 0, 2.0)
         state.advance(0.5 + k * 0.9e-12)
     assert state.queue_fn(0).times[-1] == state.built_until
     slopes = [state.queue_left_slope(0, t) for t in grid]

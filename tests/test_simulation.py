@@ -10,6 +10,7 @@ from dpeflow.network import (
     Commodity,
     Network,
     Scenario,
+    ValidationError,
     block_inflow,
     import_tntp,
     load_scenario,
@@ -89,6 +90,29 @@ def test_mass_still_in_transit_is_charged_to_horizon():
 # ----------------------------------------------------------------- two routes
 
 
+def test_inflow_profile_is_zero_before_its_first_time():
+    net = Network(["s", "t"], [("s", "t", 1.0, 1.0)])
+    late = Commodity(0, "s", "t", RightConstantFn((2.0, 5.0), (1.0, 0.0)),
+                     {"kind": "zero"})
+    result = run(Scenario(network=net, commodities=(late,),
+                          prediction_step=1.0, horizon=10.0))
+    row = compute_metrics(result).rows[0]
+    assert (row.inflow_mass, row.outflow_mass, row.total_tt) == (3.0, 3.0, 3.0)
+    f = result.state.inflow_fn(0, 0)
+    assert (f.times, f.values) == ((0.0, 2.0, 5.0), (0.0, 1.0, 0.0))
+
+
+def test_inflow_before_time_zero_is_rejected():
+    # mass on [-2, 0) would be counted as injected but never enter
+    net = Network(["s", "t"], [("s", "t", 1.0, 1.0)])
+    early = Commodity(0, "s", "t", RightConstantFn((-2.0, 5.0), (1.0, 0.0)),
+                      {"kind": "zero"})
+    with pytest.raises(ValidationError,
+                       match="commodity 0: inflow times must be >= 0"):
+        Scenario(network=net, commodities=(early,), prediction_step=1.0,
+                 horizon=10.0)
+
+
 def test_two_routes_zero_predictor_splits_evenly():
     result = run(two_routes())
     report = compute_metrics(result)
@@ -145,6 +169,28 @@ def test_idle_edges_are_not_advanced(kind, monkeypatch):
                 if any(result.state.inflow_fn(0, e.id).values)}
     assert advanced == carrying
     assert carrying.isdisjoint({5, 6, 7})
+    result.state.audit_flow()
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.5])
+def test_steady_run_extends_the_edge_at_most_three_times(rate, monkeypatch):
+    # the inflow holds to the horizon: below capacity the edge sleeps once
+    # its outflow equals its inflow, above it the queue grows steadily
+    assigned = []
+    assign = FlowOverTime.assign_inflow
+
+    def spy(self, *args):
+        assigned.append(args)
+        return assign(self, *args)
+
+    monkeypatch.setattr(FlowOverTime, "assign_inflow", spy)
+    scenario = single_edge_scenario(rate, 60.0, 60.0)
+    result = run(scenario)
+    assert len(result.rounds) == 60   # one sub-phase of length 1 each
+    assert assigned == [(0, 0, rate)]
+    assert result.state.edges_advanced <= 3
+    queue = result.state.queue_fn(0)
+    assert queue(60.0) == pytest.approx(60.0 * max(rate - 1.0, 0.0))
     result.state.audit_flow()
 
 
@@ -215,7 +261,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     # keeps the edge live through round 2, after which nothing is advanced.
     # Only round 0 has inflow at a node other than the sink, so it alone
     # answers a query, builds the exit functions of both edges and computes
-    # a label set.
+    # a label set.  The source's split is assigned in round 0 and set to 0
+    # when the inflow ends in round 1; nothing is re-split after that.
     net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
     c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
     scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
@@ -223,7 +270,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(scenario)
     assert [r.getMessage() for r in caplog.records] == [
-        f"round {k} at t={k}: 1 sub-phases, {int(k < 3)} edges advanced, "
+        f"round {k} at t={k}: 1 sub-phases, {int(k < 2)} pairs re-split, "
+        f"{int(k < 3)} edges advanced, "
         f"{2 * int(k == 0)} exit functions built, "
         f"{int(k == 0)} label sets, {int(k == 0)} active queries"
         for k in range(5)]
@@ -242,7 +290,7 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     busy = Commodity(0, "s", "t", block_inflow(2.0, 3.0), {"kind": "constant"})
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(dataclasses.replace(scenario, commodities=(busy,)))
-    assert [r.getMessage().split(", ")[2] for r in caplog.records] == [
+    assert [r.getMessage().split(", ")[3] for r in caplog.records] == [
         f"{n} exit functions built" for n in (2, 1, 1, 0, 0)]
 
 
@@ -523,8 +571,7 @@ def test_exit_tables_are_cut_once_per_spec_and_round(monkeypatch):
     def labels(net, sink, exit_fns, tol, *, start, restricted):
         ls = real_labels(net, sink, exit_fns, tol, start=start,
                          restricted=restricted)
-        if restricted:
-            assert ls.exit_fns is restricted
+        if ls.exit_fns is restricted:   # corrected on the shared cut
             tables[id(restricted)] = restricted   # holding keeps ids unique
             corrected.append(sink)
         else:
