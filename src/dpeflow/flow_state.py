@@ -277,15 +277,15 @@ class FlowOverTime:
         start = es.exit_cursor
         if exit_end <= start + EPS:
             return False
+        # the cursor starts at the transit time (> EPS) and each emission
+        # moves it on by more than EPS, so each changed rate is appended at
+        # ``start``, more than EPS past every outflow breakpoint of the edge
         n_events = len(events)
         for i, rate in zip(es.commodities, comm_rates):
             times, rates = es.out_times[i], es.out_rates[i]
             before = rates[-1]
             if rate != before:
-                changes = self._outflow_changes[i]
-                if abs(start - times[-1]) <= EPS:
-                    insort(changes, times[-1])   # merged into that breakpoint
-                insort(changes, start)
+                insort(self._outflow_changes[i], start)
                 self._rc_append(times, rates, start, rate)
                 events.append(SimEvent(
                     time=start, kind="outflow_change", edge=es.edge.id,
@@ -297,9 +297,6 @@ class FlowOverTime:
                 time=start, kind="outflow_change", edge=es.edge.id,
                 detail=f"{before:g}->{agg_rate:g}"))
         if len(events) > n_events:
-            # ``start`` lies more than EPS past every outflow breakpoint of
-            # the edge but its initial 0, so each changed rate was appended
-            # there (an entry within EPS of 0 is never returned)
             insort(self._rate_changes, start)
         es.exit_cursor = exit_end
         return True
@@ -427,8 +424,7 @@ class FlowOverTime:
     def outflow_changed(self, commodity: int, after: float,
                         until: float) -> bool:
         """Whether an outflow rate of the commodity changed at a time in
-        (after, until]; a change merged into an earlier breakpoint counts at
-        both times."""
+        (after, until]."""
         changes = self._outflow_changes[commodity]
         return bisect_right(changes, after) < bisect_right(changes, until)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .predictors import PREDICTOR_KINDS
-from .pwl import RightConstantFn
+from .pwl import EPS, RightConstantFn
 
 SCENARIO_FORMAT = "dpe-scenario/1"
 
@@ -48,7 +48,8 @@ class Edge:
 
 
 class Network:
-    """Directed multigraph with positive transit times and capacities.
+    """Directed multigraph with positive capacities and transit times
+    finite and > ``pwl.EPS``.
 
     Parallel edges and opposing edge pairs are allowed; self-loops are not.
     """
@@ -68,9 +69,10 @@ class Network:
                 raise ValidationError(f"edge {i}: unknown head node {head!r}")
             if tail == head:
                 raise ValidationError(f"edge {i}: self-loop at {tail!r} not allowed")
-            if not (tt > 0):
+            if not (EPS < tt < math.inf):
                 raise ValidationError(
-                    f"edge {i} ({tail!r}->{head!r}): transit_time must be > 0, got {tt}")
+                    f"edge {i} ({tail!r}->{head!r}): transit_time must be "
+                    f"finite and > {EPS:g}, got {tt}")
             if not (cap > 0):
                 raise ValidationError(
                     f"edge {i} ({tail!r}->{head!r}): capacity must be > 0, got {cap}")
@@ -170,7 +172,6 @@ class Scenario:
     commodities: tuple[Commodity, ...]
     prediction_step: float
     horizon: float
-    inflow_cutoff: float | None = None
     predictor_params: PredictorParams = field(default_factory=PredictorParams)
     active_tolerance: float = ACTIVE_TOLERANCE
     seed: int = 0
@@ -186,13 +187,6 @@ class Scenario:
         if not (0 <= self.active_tolerance < math.inf):
             raise ValidationError("active_tolerance must be finite and >= 0, "
                                   f"got {self.active_tolerance}")
-        cutoff = self.inflow_cutoff
-        if cutoff is None:
-            cutoff = max((c.inflow.times[-1] for c in self.commodities), default=0.0)
-            object.__setattr__(self, "inflow_cutoff", cutoff)
-        if cutoff > self.horizon:
-            raise ValidationError(
-                f"inflow_cutoff {cutoff} exceeds horizon {self.horizon}")
         reach: dict[NodeId, set[NodeId]] = {}   # one search per source
         for c in self.commodities:
             self._check_commodity(c, reach)
@@ -254,11 +248,14 @@ def block_inflow(rate: float, until: float) -> RightConstantFn:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
+    return scenario_from_dict(_read_json(path), base_dir=path.parent)
+
+
+def _read_json(path: Path):
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
-    return scenario_from_dict(doc, base_dir=path.parent)
 
 
 def _json(value, kind: type, what: str):
@@ -292,6 +289,19 @@ def _node(value, what: str, *args):
                      f"got {value!r}")
 
 
+def _edge_row(e, where: str) -> tuple:
+    """(tail, head, transit_time, capacity) of the JSON edge entry ``e``,
+    else a ParseError naming ``where`` and the field."""
+    _json(e, dict, where)
+    for key in ("tail", "head", "transit_time", "capacity"):
+        if key not in e:
+            raise ParseError(f"{where}: missing field {key!r}")
+    return (_node(e["tail"], "{}: tail", where),
+            _node(e["head"], "{}: head", where),
+            _number(e["transit_time"], "{}: transit_time", where),
+            _number(e["capacity"], "{}: capacity", where))
+
+
 def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     _json(doc, dict, "a scenario")
     fmt = doc.get("format")
@@ -305,18 +315,12 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     edges = []
     for i, e in enumerate(_json(net_doc.get("edges", []), list,
                                 "'network.edges'")):
-        _json(e, dict, f"network edge {i}")
-        eid = _int(e.get("id", i), "network edge {}: id", i)
+        where = f"network edge {i}"
+        edges.append(_edge_row(e, where))
+        eid = _int(e.get("id", i), "{}: id", where)
         if eid in seen_ids:
             raise ValidationError(f"duplicate edge id {eid}")
         seen_ids.add(eid)
-        for key in ("tail", "head", "transit_time", "capacity"):
-            if key not in e:
-                raise ParseError(f"network edge {i}: missing field {key!r}")
-        edges.append((_node(e["tail"], "network edge {}: tail", i),
-                      _node(e["head"], "network edge {}: head", i),
-                      _number(e["transit_time"], "network edge {}: transit_time", i),
-                      _number(e["capacity"], "network edge {}: capacity", i)))
     nodes = net_doc.get("nodes")
     if nodes is None:
         nodes = list(dict.fromkeys(n for t, h, *_ in edges for n in (t, h)))
@@ -353,16 +357,12 @@ def scenario_from_dict(doc: dict, base_dir: Path | None = None) -> Scenario:
     )
     if "prediction_step" not in doc or "horizon" not in doc:
         raise ParseError("scenario must declare 'prediction_step' and 'horizon'")
-    cutoff = doc.get("inflow_cutoff")
-    if cutoff is not None:
-        _number(cutoff, "'inflow_cutoff'")
     return Scenario(
         network=network,
         commodities=tuple(commodities),
         prediction_step=float(_number(doc["prediction_step"],
                                       "'prediction_step'")),
         horizon=float(_number(doc["horizon"], "'horizon'")),
-        inflow_cutoff=cutoff,
         predictor_params=params,
         active_tolerance=float(_number(doc.get("active_tolerance",
                                                ACTIVE_TOLERANCE),
@@ -408,7 +408,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ],
         "prediction_step": scenario.prediction_step,
         "horizon": scenario.horizon,
-        "inflow_cutoff": scenario.inflow_cutoff,
         "predictor_params": {
             "delta": pp.delta,
             "prediction_horizon": horizon_pred,
@@ -428,13 +427,11 @@ def save_scenario(scenario: Scenario, path: str | Path):
 # --------------------------------------------------------------------- imports
 
 
-def import_tntp(path: str | Path, *, time_scale: float = 1.0,
-                capacity_scale: float = 1.0) -> Network:
+def import_tntp(path: str | Path) -> Network:
     """Read the network subset of a TNTP file.
 
     Consumes the capacity and free-flow-time columns of the standard link
-    table; all other columns are ignored.  Scaling factors convert the file's
-    units into simulation units (both default to 1.0).
+    table, in simulation units; all other columns are ignored.
     """
     path = Path(path)
     n_nodes = None
@@ -460,16 +457,17 @@ def import_tntp(path: str | Path, *, time_scale: float = 1.0,
             raise ParseError(f"{path}:{lineno}: expected at least 5 link columns, got {len(row)}")
         try:
             tail, head = int(row[0]), int(row[1])
-            capacity = float(row[2]) * capacity_scale
-            fft = float(row[4]) * time_scale
+            capacity = float(row[2])
+            fft = float(row[4])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: malformed link row: {raw!r}") from exc
         if not (capacity > 0):
             raise ValidationError(
-                f"{path}:{lineno}: edge {tail}->{head} capacity must be > 0 after scaling")
-        if not (fft > 0):
+                f"{path}:{lineno}: edge {tail}->{head} capacity must be > 0")
+        if not (EPS < fft < math.inf):
             raise ValidationError(
-                f"{path}:{lineno}: edge {tail}->{head} free-flow time must be > 0 after scaling")
+                f"{path}:{lineno}: edge {tail}->{head} free-flow time must be "
+                f"finite and > {EPS:g}")
         edges.append((tail, head, fft, capacity))
     # the declared nodes 1..n, isolated ones included, and every endpoint
     nodes = sorted(set(range(1, (n_nodes or 0) + 1)).union(
@@ -478,11 +476,12 @@ def import_tntp(path: str | Path, *, time_scale: float = 1.0,
 
 
 def import_edge_list(path: str | Path) -> Network:
-    """Read a ``tail,head,transit_time,capacity`` CSV (or a JSON edge array)."""
+    """Read a ``tail,head,transit_time,capacity`` CSV (or a JSON edge array,
+    whose entries are checked as a scenario's network edges are)."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text())
-        rows = [(e["tail"], e["head"], e["transit_time"], e["capacity"]) for e in doc]
+        doc = _json(_read_json(path), list, str(path))
+        rows = [_edge_row(e, f"{path}: edge {i}") for i, e in enumerate(doc)]
         nodes = list(dict.fromkeys(n for t, h, *_ in rows for n in (t, h)))
         return Network(nodes, rows)
     edges = []

@@ -435,9 +435,10 @@ class RegressionModel:
         return model
 
     @classmethod
-    def copy_last_value(cls, samples: int, sample_step: float, lags: int = 2,
+    def copy_last_value(cls, samples: int, sample_step: float,
                         neighborhood_radius: int = 5) -> "RegressionModel":
         """Model predicting every future sample as the most recent lag."""
+        lags = 2
         n_feat = (1 + neighborhood_radius) * lags
         row = [0.0] * (1 + n_feat)
         row[1] = 1.0  # weight on the edge's own queue one lag back
@@ -466,19 +467,19 @@ def _sample(fn, ts):
     return np.interp(ts, xs, ys)
 
 
-def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
+def train_regression(traces, lags: int = 10, samples: int = 10,
                      sample_step: float = 1.0, neighborhood_radius: int = 5,
-                     horizon: float | None = None, grid_step: float = 1.0,
-                     shared: bool = False, holdout: float = 0.1,
-                     ridge: float = 1e-8, seed: int = 0) -> RegressionModel:
-    """Fit the regression predictor on queue traces of finished runs.
+                     grid_step: float = 1.0, shared: bool = False,
+                     seed: int = 0) -> RegressionModel:
+    """Fit the regression predictor of every edge on queue traces of
+    finished runs.
 
     ``traces`` is one flow state or a list of them, all over the same network.
-    Builds one training row per grid time per trace: features are the lagged
-    queues of the edge and its tail's incoming edges, targets the queues at
-    the future sample offsets.  Fits each future offset by ridge-regularized
-    least squares and records an out-of-sample R^2 per edge (or one shared
-    score).
+    Builds one training row per grid time per trace up to its built horizon:
+    features are the lagged queues of the edge and its tail's incoming edges,
+    targets the queues at the future sample offsets.  Fits each future offset
+    by ridge-regularized least squares and records an R^2 per edge (or one
+    shared score) on a fixed 10% holdout.
     """
     import numpy as np
 
@@ -486,17 +487,14 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
     net = states[0].network
     if any(len(st.network.edges) != len(net.edges) for st in states[1:]):
         raise ValueError("traces must come from the same network")
-    if edge_ids is None:
-        edge_ids = list(range(len(net.edges)))
 
     rng = np.random.default_rng(seed)
     n_feat = (1 + neighborhood_radius) * lags
 
     grids = []
     for st in states:
-        hi = st.built_until if horizon is None else min(horizon, st.built_until)
         t_lo = lags * sample_step
-        t_hi = hi - samples * sample_step
+        t_hi = st.built_until - samples * sample_step
         if t_hi <= t_lo:
             raise ValueError("trace too short for the requested lags and samples")
         grids.append(np.arange(t_lo, t_hi + 1e-9, grid_step))
@@ -514,8 +512,7 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
             per_edge[e.id] = (lagged, future)
         sampled.append(per_edge)
 
-    def rows_for(eid):
-        edge = net.edges[eid]
+    def rows_for(edge):
         features = _feature_edges(edge, net.in_edges[edge.tail],
                                   neighborhood_radius)
         Xs, Ys = [], []
@@ -525,12 +522,12 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
                 for k in range(lags):
                     X[:, c * lags + k] = per_edge[fid][0][k]
             Xs.append(X)
-            Ys.append(np.column_stack(per_edge[eid][1]))
+            Ys.append(np.column_stack(per_edge[edge.id][1]))
         return np.vstack(Xs), np.vstack(Ys)
 
     def fit(X, Y):
         A = np.hstack([np.ones((X.shape[0], 1)), X])
-        gram = A.T @ A + ridge * np.eye(A.shape[1])
+        gram = A.T @ A + 1e-8 * np.eye(A.shape[1])   # the ridge term
         coef = np.linalg.solve(gram, A.T @ Y)
         return coef.T  # samples x (1 + n_feat)
 
@@ -545,7 +542,7 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
 
     n_rows = sum(len(g) for g in grids)
     perm = rng.permutation(n_rows)
-    n_hold = max(int(round(holdout * n_rows)), 1)
+    n_hold = max(int(round(0.1 * n_rows)), 1)
     test_idx, train_idx = perm[:n_hold], perm[n_hold:]
     if len(train_idx) == 0:
         train_idx = test_idx
@@ -554,25 +551,25 @@ def train_regression(traces, edge_ids=None, lags: int = 10, samples: int = 10,
     scores: dict[int, float] = {}
     if shared:
         Xs, Ys = [], []
-        for eid in edge_ids:
-            X, Y = rows_for(eid)
+        for e in net.edges:
+            X, Y = rows_for(e)
             Xs.append(X)
             Ys.append(Y)
         X = np.vstack(Xs)
         Y = np.vstack(Ys)
         tr = np.concatenate([train_idx + k * n_rows
-                             for k in range(len(edge_ids))])
+                             for k in range(len(net.edges))])
         te = np.concatenate([test_idx + k * n_rows
-                             for k in range(len(edge_ids))])
+                             for k in range(len(net.edges))])
         coef = fit(X[tr], Y[tr])
         coefficients[-1] = coef.tolist()
         scores[-1] = r2(coef, X[te], Y[te])
     else:
-        for eid in edge_ids:
-            X, Y = rows_for(eid)
+        for e in net.edges:
+            X, Y = rows_for(e)
             coef = fit(X[train_idx], Y[train_idx])
-            coefficients[eid] = coef.tolist()
-            scores[eid] = r2(coef, X[test_idx], Y[test_idx])
+            coefficients[e.id] = coef.tolist()
+            scores[e.id] = r2(coef, X[test_idx], Y[test_idx])
 
     return RegressionModel(lags, samples, sample_step, neighborhood_radius,
                            coefficients, scores, seed=seed)

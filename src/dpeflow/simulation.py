@@ -315,12 +315,14 @@ def compute_metrics(result: RunResult) -> MetricsReport:
 # --------------------------------------------------------------------- audits
 
 
-def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
+def audit_dpe(result: RunResult) -> int:
     """Re-derive every recorded routing decision from the finished flow.
 
     Predictors only read queues up to the prediction time, so rebuilding the
     forecast from the final state must reproduce the live decision exactly.
-    Returns the number of verified queries; raises on any mismatch.
+    The replay uses its own predictors, free-flow table and whole-line
+    labels, shared per (spec, sink) and round as in ``run``.  Returns the
+    number of verified queries; raises on any mismatch.
     """
     scenario = result.scenario
     net = scenario.network
@@ -329,19 +331,22 @@ def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
                                   base_dir=scenario.base_dir,
                                   final_state=result.state)
                   for c in comms]
+    spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
+    free_flow: dict[int, PiecewiseLinearFn] = {}
     checked = 0
-    for record in result.rounds[:max_rounds]:
+    for record in result.rounds:
         history = QueueHistory(result.state, record.time)
-        by_commodity: dict[int, LabelSet] = {}
+        exit_tables: dict[str, dict] = {}
+        labels: dict[tuple[str, str], LabelSet] = {}
         for (i, v), live_ids in sorted(record.active_queries.items()):
-            ls = by_commodity.get(i)
+            spec_key, sink = spec_keys[i], comms[i].sink
+            ls = labels.get((spec_key, sink))
             if ls is None:
-                # a fresh free-flow table: the replay builds its own exit
-                # functions and trusts none of the live run's
-                exit_fns, _ = _exit_fns(predictors[i], history, net, {})
-                ls = compute_labels(net, comms[i].sink, exit_fns,
-                                    scenario.active_tolerance)
-                by_commodity[i] = ls
+                if spec_key not in exit_tables:
+                    exit_tables[spec_key] = _exit_fns(
+                        predictors[i], history, net, free_flow)[0]
+                ls = labels[(spec_key, sink)] = compute_labels(
+                    net, sink, exit_tables[spec_key], scenario.active_tolerance)
             replay_ids = tuple(e.id for e in ls.active_edges(v, record.time))
             if replay_ids != live_ids:
                 raise AssertionError(
@@ -351,12 +356,13 @@ def audit_dpe(result: RunResult, *, max_rounds: int | None = None) -> int:
     return checked
 
 
-def audit_ide(result: RunResult, tol: float = 1e-9) -> int:
+def audit_ide(result: RunResult) -> int:
     """Check rounds against instantaneous shortest paths.
 
     Under the constant predictor every decision must match a static shortest
     path on edge costs transit_time + queue(now)/capacity.  Compares the
-    recorded active sets against a scalar Bellman-Ford run per round.
+    recorded active sets against a scalar Bellman-Ford run per round, and
+    each active edge's cost gap against the active tolerance plus 1e-9.
     Returns the number of verified queries.
     """
     scenario = result.scenario
@@ -389,7 +395,7 @@ def audit_ide(result: RunResult, tol: float = 1e-9) -> int:
             for eid in live_ids:
                 e = net.edges[eid]
                 gap = costs[eid] + dist[e.head] - dist[v]
-                if abs(gap) > tol + scenario.active_tolerance:
+                if abs(gap) > 1e-9 + scenario.active_tolerance:
                     raise AssertionError(
                         f"round {record.index} edge {eid}: active edge is "
                         f"{gap:g} above the shortest path")

@@ -110,7 +110,7 @@ def test_c4_constant_predictor_is_instantaneous_equilibrium():
                    "within 1e-9"):
         scenario = sweep_variant(two_routes(), 4.0, "constant")
         result = run(scenario)
-        checked = audit_ide(result, tol=1e-9)
+        checked = audit_ide(result)
         assert checked > 100
         assert audit_dpe(result) == checked
 

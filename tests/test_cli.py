@@ -186,6 +186,19 @@ def test_mistyped_scalar_in_scenario_is_an_input_error(scenario_file,
     assert not out.exists()
 
 
+def test_transit_time_within_eps_is_an_input_error(scenario_file, tmp_path,
+                                                  capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["network"]["edges"][4]["transit_time"] = 1e-13
+    scenario_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: edge 4 ('s'->'t'): transit_time must be finite and > 1e-12, "
+        "got 1e-13\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path, value, message", [
     ((), [], "a scenario must be an object, got []"),
     (("network",), [], "'network' must be an object, got []"),
@@ -323,6 +336,18 @@ def test_generate_commodities_round_trip(tmp_path):
           "--network", str(DATA / "sioux_falls_net.tntp"),
           "--out", str(out2), "--count", "3", "--seed", "7"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_generate_commodities_rejects_a_bad_json_edge_list(tmp_path, capsys):
+    edges = tmp_path / "e.json"
+    edges.write_text(json.dumps([{"tail": "a", "head": "b"}]))
+    out = tmp_path / "s.json"
+    code = main(["generate-commodities", "--network", str(edges),
+                 "--out", str(out), "--count", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {edges}: edge 0: missing field 'transit_time'\n")
+    assert not out.exists()
 
 
 def test_perfect_predictor_in_live_loop_exits_2(scenario_file, tmp_path):

@@ -364,26 +364,6 @@ def test_outflow_changed_equals_the_brute_force(rounds, transit_times):
                         outflow_breakpoint_in(state, i, after, until)
 
 
-def test_outflow_changed_sees_a_change_merged_within_eps():
-    # a transit time below EPS puts the first outflow breakpoint within EPS
-    # of the initial one at 0, so the new rate is merged into that one: no
-    # breakpoint lies in (0, 1], yet the rate read at 0 changed
-    net = Network(["a", "b"], [("a", "b", 0.4 * EPS, 1.0)])
-    state = FlowOverTime(net, 1)
-    state.assign_inflow(0, 0, 1.0)
-    before = state.outflows_at(0, 0.0)
-    state.advance(1.0)
-    assert state.outflow_fn(0, 0).times == (0.0,)
-    assert not outflow_breakpoint_in(state, 0, 0.0, 1.0)
-    assert state.outflows_at(0, 0.0) != before
-    # the change counts at the time it was recorded at and at the breakpoint
-    # it was merged into
-    assert state.outflow_changed(0, 0.0, 1.0)
-    assert state.outflow_changed(0, 0.0, 0.5 * EPS)
-    assert state.outflow_changed(0, -1.0, 0.0)
-    assert not state.outflow_changed(0, EPS, 1.0)
-
-
 class FullExtensions(FlowOverTime):
     """Clears the steadiness of every edge before each advance, so that
     every live edge is extended in full."""

@@ -19,6 +19,7 @@ from dpeflow.network import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from dpeflow.pwl import EPS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -35,6 +36,15 @@ def test_network_adjacency():
     assert [e.head for e in net.out_edges["a"]] == ["b"]
     assert [e.tail for e in net.in_edges["c"]] == ["b"]
     assert net.min_transit_time == 1.0
+
+
+@pytest.mark.parametrize("transit_time", [4e-13, EPS, math.inf, math.nan])
+def test_network_rejects_transit_times_not_finite_and_above_eps(
+        transit_time):
+    with pytest.raises(ValidationError) as info:
+        Network(["a", "b"], [("a", "b", transit_time, 1.0)])
+    assert str(info.value) == ("edge 0 ('a'->'b'): transit_time must be "
+                               f"finite and > 1e-12, got {transit_time}")
 
 
 def test_network_rejects_nonpositive_attributes():
@@ -69,11 +79,20 @@ def test_scenario_file_round_trip(tmp_path):
     scenario = load_scenario(DATA / "two_routes.scenario.json")
     assert len(scenario.network.edges) == 5
     assert scenario.commodities[0].predictor_spec == {"kind": "zero"}
-    assert scenario.inflow_cutoff == 25.0
     out = tmp_path / "copy.json"
     save_scenario(scenario, out)
     again = load_scenario(out)
     assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+
+def test_scenario_file_with_an_inflow_cutoff_loads_as_without():
+    # the parser ignores keys it does not read, such as "inflow_cutoff"
+    doc = json.loads((DATA / "two_routes.scenario.json").read_text())
+    assert "inflow_cutoff" not in doc
+    plain = scenario_to_dict(scenario_from_dict(doc))
+    for cutoff in (25.0, "x", 1e9):
+        doc["inflow_cutoff"] = cutoff
+        assert scenario_to_dict(scenario_from_dict(doc)) == plain
 
 
 def test_scenario_requires_format_tag():
@@ -107,8 +126,6 @@ def test_scenario_rejects_bad_steps():
     net = Network(["a", "b"], [("a", "b", 1.0, 1.0)])
     with pytest.raises(ValidationError, match="prediction_step"):
         Scenario(net, (), 0.0, 10.0)
-    with pytest.raises(ValidationError, match="exceeds horizon"):
-        Scenario(net, (), 1.0, 10.0, inflow_cutoff=11.0)
     for step, horizon in ((math.inf, 10.0), (math.nan, 10.0),
                           (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValidationError, match="finite"):
@@ -217,15 +234,14 @@ def test_predictor_spec_bounds_admit_their_edges():
      "commodity 0: inflow rate must be a number, got None"),
     (("commodities", 0, "inflow"), {"times": [0.0, None], "rates": [1, 0]},
      "commodity 0: inflow times[1] must be a number, got None"),
-    (("inflow_cutoff",), "x", "'inflow_cutoff' must be a number, got 'x'"),
     (("horizon",), None, "'horizon' must be a number, got None"),
     (("prediction_step",), "0.25",
      "'prediction_step' must be a number, got '0.25'"),
     (("active_tolerance",), [0], "'active_tolerance' must be a number, got [0]"),
     (("seed",), 1.5, "'seed' must be an integer, got 1.5"),
 ], ids=["transit_time", "capacity", "capacity-bool", "tail", "edge-id",
-        "node", "sink", "until", "rate", "inflow-times", "inflow_cutoff",
-        "horizon", "prediction_step", "active_tolerance", "seed"])
+        "node", "sink", "until", "rate", "inflow-times", "horizon",
+        "prediction_step", "active_tolerance", "seed"])
 def test_mistyped_scalar_is_a_parse_error(path, value, message):
     doc = json.loads((DATA / "two_routes.scenario.json").read_text())
     parent = doc
@@ -257,13 +273,6 @@ def test_import_tntp_sioux_falls_counts():
     assert len(net.nodes) == 24
     assert len(net.edges) == 75
     assert all(e.transit_time > 0 and e.capacity > 0 for e in net.edges)
-
-
-def test_import_tntp_scaling():
-    net = import_tntp(DATA / "sioux_falls_net.tntp", time_scale=2.0, capacity_scale=0.5)
-    base = import_tntp(DATA / "sioux_falls_net.tntp")
-    assert net.edges[0].transit_time == pytest.approx(2.0 * base.edges[0].transit_time)
-    assert net.edges[0].capacity == pytest.approx(0.5 * base.edges[0].capacity)
 
 
 def test_import_tntp_empty_table(tmp_path):
@@ -299,6 +308,16 @@ def test_import_tntp_rejects_zero_capacity(tmp_path):
         import_tntp(p)
 
 
+@pytest.mark.parametrize("fft", ["0.0", "4e-13", "inf", "nan"])
+def test_import_tntp_rejects_free_flow_times_not_above_eps(tmp_path, fft):
+    p = tmp_path / "bad.tntp"
+    p.write_text(f"<END OF METADATA>\n1 2 1.0 1 1.0 ;\n2 1 1.0 1 {fft} ;\n")
+    with pytest.raises(ValidationError) as info:
+        import_tntp(p)
+    assert str(info.value) == (f"{p}:3: edge 2->1 free-flow time must be "
+                               "finite and > 1e-12")
+
+
 def test_import_tntp_rejects_short_rows(tmp_path):
     p = tmp_path / "bad.tntp"
     p.write_text("<END OF METADATA>\n1 2 3\n")
@@ -319,6 +338,15 @@ def test_edge_list_round_trip(tmp_path):
     assert again.edges[1].capacity == 1.0
 
 
+def test_edge_list_rejects_an_infinite_transit_time(tmp_path):
+    p = tmp_path / "edges.csv"
+    p.write_text("tail,head,transit_time,capacity\na,b,1.0,2.0\n"
+                 "b,c,inf,1.0\n")
+    with pytest.raises(ValidationError, match=r"^edge 1 \('b'->'c'\): "
+                                              "transit_time must be finite"):
+        import_edge_list(p)
+
+
 def test_edge_list_header_enforced(tmp_path):
     p = tmp_path / "edges.csv"
     p.write_text("from,to,time,cap\na,b,1,1\n")
@@ -332,6 +360,26 @@ def test_edge_list_json(tmp_path):
         {"tail": "x", "head": "y", "transit_time": 1.5, "capacity": 2.5}]))
     net = import_edge_list(p)
     assert net.edges[0].capacity == 2.5
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"tail": "a", "head": "b"}], "{p}: edge 0: missing field 'transit_time'"),
+    ([{"tail": "a", "head": "b", "transit_time": 1, "capacity": 1}, ["a"]],
+     "{p}: edge 1 must be an object, got ['a']"),
+    ([{"tail": "a", "head": "b", "transit_time": "1", "capacity": 1}],
+     "{p}: edge 0: transit_time must be a number, got '1'"),
+    ([{"tail": None, "head": "b", "transit_time": 1, "capacity": 1}],
+     "{p}: edge 0: tail must be a string or an integer, got None"),
+    ({"edges": []}, "{p} must be an array, got {{'edges': []}}"),
+    ('[{"tail": "a",', "{p}: invalid JSON at line 1 col 15"),
+], ids=["missing-field", "not-an-object", "not-a-number", "tail", "not-a-list",
+        "not-json"])
+def test_edge_list_json_names_the_bad_entry(tmp_path, doc, message):
+    p = tmp_path / "edges.json"
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        import_edge_list(p)
+    assert str(info.value) == message.format(p=p)
 
 
 # ------------------------------------------------------------------ generator

@@ -78,7 +78,7 @@ def test_every_live_predictor_forecasts_an_empty_edge_as_the_shared_zero(
         LinearPredictor(), LinearPredictor(prediction_horizon=2.0),
         RegularizedLinearPredictor(),
         RegressionPredictor(RegressionModel.copy_last_value(
-            samples=3, sample_step=1.0, lags=2, neighborhood_radius=1)),
+            samples=3, sample_step=1.0, neighborhood_radius=1)),
     ]
     for pred in predictors:
         assert pred.predict(h, 0).fn is constant_fn(0.0), pred.kind
@@ -277,7 +277,7 @@ def test_regression_shared_model_across_edges():
 def test_copy_model_repeats_last_observation():
     state = affine_flow()
     model = RegressionModel.copy_last_value(samples=4, sample_step=1.0,
-                                            lags=2, neighborhood_radius=2)
+                                            neighborhood_radius=2)
     p = RegressionPredictor(model).predict(QueueHistory(state, 20.0), 0)
     # anchored at q(20) = 10, then flat at q(19) = 9.5
     assert p(20.0) == pytest.approx(10.0)
@@ -447,7 +447,7 @@ def test_model_load_rejects_other_formats(tmp_path):
 
 def copy_model_file(tmp_path, **changes):
     model = RegressionModel.copy_last_value(samples=2, sample_step=1.0,
-                                            lags=2, neighborhood_radius=1)
+                                            neighborhood_radius=1)
     path = tmp_path / "model.json"
     model.save(path)
     doc = json.loads(path.read_text())

@@ -511,10 +511,10 @@ SRC = Path(__file__).parent.parent / "src" / "dpeflow"
 # user-facing defaults and regression-fit numerics may carry their own.
 SMALL_LITERALS = sorted([
     ("network.py", "ACTIVE_TOLERANCE", 1e-9),   # default active_tolerance
-    ("predictors.py", "train_regression", 1e-8),  # ridge default
+    ("predictors.py", "fit", 1e-8),             # ridge term
     ("predictors.py", "train_regression", 1e-9),  # arange slack on the grid
     ("pwl.py", "EPS", EPS),
-    ("simulation.py", "audit_ide", 1e-9),        # default audit tol
+    ("simulation.py", "audit_ide", 1e-9),        # audit slack
 ])
 
 
