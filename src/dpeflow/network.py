@@ -161,7 +161,9 @@ _SPEC_BOUNDS = {
     "delta": _PARAM_BOUNDS["delta"],
     "prediction_horizon": _PARAM_BOUNDS["prediction_horizon"],
     "threshold": (_finite, "a finite number"),
-    "high_value": (_finite, "a finite number"),
+    # a forecast queue length: a negative one predicts exits before the
+    # transit time is up
+    "high_value": (lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
     "model": (lambda x: isinstance(x, str), "a string"),
 }
 

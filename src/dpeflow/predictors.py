@@ -237,6 +237,9 @@ class ThresholdPredictor:
     kind = "threshold"
 
     def __init__(self, threshold: float = 1.0, high_value: float = 2.0):
+        if not (math.isfinite(high_value) and high_value >= 0):
+            raise ValueError("high_value is a queue length and must be "
+                             f"finite and >= 0, got {high_value!r}")
         self.threshold = threshold
         self.high_value = high_value
 

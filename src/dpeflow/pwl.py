@@ -17,11 +17,12 @@ Functions are validated where data enters and trusted inside.
 everything built from caller data: :func:`from_points`, :func:`constant_fn`,
 :func:`linear_combination`, and every function the other modules make from
 scenarios, forecasts or flows.  The results of the algebra,
-:func:`compose_monotone`, :func:`pointwise_min`, :func:`prune` and
-:func:`restrict_from`, are float arithmetic on functions that passed those
-checks, so they are built by ``_trusted``, which skips them; it is used in
-this module only.  :func:`pointwise_min` is the lower envelope of two
-functions, as label correction merges a candidate into a label.
+:func:`compose_monotone`, :func:`compose_shift`, :func:`pointwise_min`,
+:func:`prune` and :func:`restrict_from`, are float arithmetic on functions
+that passed those checks, so they are built by ``_trusted``, which skips
+them; it is used in this module only.  :func:`pointwise_min` is the lower
+envelope of two functions, as label correction merges a candidate into a
+label.
 
 The simulator's one tolerance is :data:`EPS`, used by every module:
 
@@ -203,6 +204,8 @@ _ZERO = PiecewiseLinearFn((0.0,), (0.0,), 0.0, 0.0)
 def constant_fn(value: float) -> PiecewiseLinearFn:
     """The function t -> value; for +0.0 the shared zero (see
     :func:`from_points`)."""
+    if value == 0.0 and math.copysign(1.0, value) > 0.0:
+        return _ZERO
     return from_points([(0.0, value)])
 
 
@@ -305,6 +308,25 @@ def compose_monotone(
     slope_before = outer.slope_before_first * inner.slope_before_first
     slope_after = outer.slope_after_last * inner.slope_after_last
     return prune(_trusted(grid, tuple(values), slope_before, slope_after))
+
+
+def compose_shift(outer: PiecewiseLinearFn, t0: float, v0: float,
+                  slope_before: float) -> PiecewiseLinearFn:
+    """``compose_monotone(outer, PiecewiseLinearFn((t0,), (v0,),
+    slope_before, 1.0))`` bit for bit, without building the inner shift.
+
+    The inner function is t -> v0 + (t - t0), on the whole line when
+    ``slope_before`` is 1.0, and flat at v0 before t0 when it is 0.0 (a
+    shift cut at t0).  Its breakpoint and the preimages of outer's
+    breakpoints form the grid, as in :func:`compose_monotone`; a flat inner
+    function has no preimage before t0.
+    """
+    ys = outer.times if slope_before else [y for y in outer.times if y >= v0]
+    grid = _merged_times([(t0,), [t0 + (y - v0) for y in ys]])
+    values = _sample(outer, [v0 + (t - t0) for t in grid])
+    return prune(_trusted(grid, tuple(values),
+                          outer.slope_before_first * slope_before,
+                          outer.slope_after_last))
 
 
 def _preimages(inner: PiecewiseLinearFn, y: float) -> list[float]:

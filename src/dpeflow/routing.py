@@ -5,29 +5,37 @@ departure time to the earliest predicted arrival at the sink.  Labels satisfy
 the recursion l_v = min over out-edges e = (v, w) of l_w composed with the
 exit time of e, with the sink fixed at the identity.
 
-Shift-only forecasts need no function algebra.  The zero, constant and
-threshold predictors, the linear and reg_linear predictors whenever their
-forecast is flat, and every live predictor for an edge forecast to stay
-empty (the shared ``constant_fn(0.0)``), predict exit times t + c_e with
-c_e > 0.  Then every label is t + dist(v), where dist is the static
-shortest-path distance to the sink on the costs c_e, and a Dijkstra from
-the sink gives the labels.  The search runs only as far as the lookups
-reach: a round asks ``active_edges`` at a few nodes, each reading its own
-label and its heads', and a lookup resumes the search until its node is
-settled, so nodes farther from the sink than every queried one stay
-unsettled.  A node's label function is built on its first lookup and kept.
+Shifts need no function algebra.  The zero, constant and threshold
+predictors, the linear and reg_linear predictors whenever their forecast
+is flat, and every live predictor for an edge forecast to stay empty (the
+shared ``constant_fn(0.0)``), predict exit times t + c_e.  Such an exit
+time enters the exit table as a pair (t0, v0), its value v0 at an anchor
+t0, and is read as v0 + (t - t0), as the PL function through (t0, v0) with
+slope 1 would compute it.  When every entry is a shift with c_e = v0 - t0
+> 0, every label is t + dist(v), where dist is the static shortest-path
+distance to the sink on the costs c_e, and a Dijkstra from the sink gives
+the labels.  The search runs only as far as the lookups reach: a round asks
+``active_edges`` at a few nodes, each reading its own distance and its
+heads', and a lookup resumes the search until its node is settled, so nodes
+farther from the sink than every queried one stay unsettled.
+``active_edges`` compares the distances and shifts as floats; a node's
+label function is built only when ``labels`` is read, and kept.
 ``simulation.audit_ide`` keeps its own Bellman-Ford as the independent
 check of the Dijkstra labels.
 
-Every other forecast goes through backward label correction over the
+Any other exit table goes through backward label correction over the
 function space (Dreyfus 1969; Orda and Rom 1990), restricted to departures
 at or after the decision time ``start``.  An exit time is at least the
 departure time plus the transit time, so l_v on [start, inf) reads l_w on
-[start, inf) only.  Each exit function is cut there by
-``pwl.restrict_from``, once per exit table when the label sets of several
-sinks share one (``compute_labels(..., restricted=...)``), so no label but
-the sink's identity holds a breakpoint before ``start``; the labels are
-exact from ``start`` on, and ``LabelSet`` refuses earlier reads.
+[start, inf) only.  The table is cut there once, shared by the label sets
+of several sinks (``compute_labels(..., restricted=...)``): each exit
+function by ``pwl.restrict_from``, and each shift anchored at or before
+``start`` by moving its anchor to ``start``, before which it is flat (a
+shift anchored later is cut as its PL function).  So no label but the
+sink's identity holds a breakpoint before ``start``; the labels are exact
+from ``start`` on, and ``LabelSet`` refuses earlier reads.  A shift edge
+is composed by translation (``pwl.compose_shift``), and its excess floor
+v0 - t0 is read off the pair.
 
 Correction relaxes edges in label order, as for FIFO time-dependent
 networks (Dean 2004).  A pass is a heap of nodes keyed on their label's
@@ -77,6 +85,7 @@ from .pwl import (
     PiecewiseLinearFn,
     _sample,
     compose_monotone,
+    compose_shift,
     identity_fn,
     pointwise_min,
     prune,  # noqa: F401 (unused; perfbench's tracer test reads routing.prune)
@@ -93,16 +102,16 @@ class LabelSet:
     """Earliest-arrival labels toward one sink, plus the exit times used.
 
     The labels are exact from ``start`` on, the decision time they were
-    computed for (``-inf`` for the whole line); ``exit_fns`` are the
-    exit-time functions they were computed on, cut at ``start`` when label
-    correction ran.  Reading a label before ``start`` raises
+    computed for (``-inf`` for the whole line); ``exit_fns`` is the exit
+    table they were computed on, cut at ``start`` when label correction
+    ran.  Reading a label before ``start`` raises
     :class:`~dpeflow.pwl.DomainError`.
     """
 
     network: Network
     sink: str
     labels: Mapping[str, PiecewiseLinearFn]
-    exit_fns: dict[int, PiecewiseLinearFn]
+    exit_fns: dict
     active_tolerance: float = ACTIVE_TOLERANCE
     start: float = -math.inf
 
@@ -121,39 +130,61 @@ class LabelSet:
         return label(t) if label is not None else math.inf
 
     def active_edges(self, node: str, t: float):
-        """Out-edges whose predicted arrival matches the node label at ``t``."""
+        """Out-edges whose predicted arrival matches the node label at ``t``.
+
+        On shift labels t + dist(v) and shift exit times v0 + (t - t0) the
+        test is float arithmetic on the distances, as the label functions
+        would evaluate it; no label function is built.
+        """
         self._check_time(t)
-        label = self.labels.get(node)
-        if label is None:
-            return []
+        labels, exit_fns = self.labels, self.exit_fns
         tol = self.active_tolerance
-        best = label(t)
         active = []
+        if isinstance(labels, _ShiftLabels):
+            d = labels._distance(node)
+            if d is None:
+                return active
+            best = d + t
+            for e in self.network.out_edges[node]:
+                d_head = labels._distance(e.head)
+                if d_head is None:
+                    continue
+                t0, v0 = exit_fns[e.id]
+                if d_head + (v0 + (t - t0)) <= best + tol:
+                    active.append(e)
+            return active
+        label = labels.get(node)
+        if label is None:
+            return active
+        best = label(t)
         for e in self.network.out_edges[node]:
-            head = self.labels.get(e.head)
+            head = labels.get(e.head)
             if head is None:
                 continue
-            if head(self.exit_fns[e.id](t)) <= best + tol:
+            f = exit_fns[e.id]
+            exit_time = f[1] + (t - f[0]) if type(f) is tuple else f(t)
+            if head(exit_time) <= best + tol:
                 active.append(e)
         return active
 
 
-def compute_labels(network: Network, sink: str,
-                   exit_fns: dict[int, PiecewiseLinearFn],
+def compute_labels(network: Network, sink: str, exit_fns: dict,
                    active_tolerance: float = ACTIVE_TOLERANCE, *,
                    start: float = -math.inf,
-                   restricted: dict[int, PiecewiseLinearFn] | None = None,
+                   restricted: dict | None = None,
                    ) -> LabelSet:
     """Earliest-arrival labels toward ``sink`` under the given exit times,
     exact for departures at or after ``start`` (the whole line by default).
 
-    A Dijkstra, run as far as lookups reach, when every exit time is a
-    positive shift, backward label correction on the exit times restricted
-    to [start, inf) otherwise (see the module docstring for why that
-    suffices).  ``restricted`` is a dict shared by the calls on one exit
-    table and one ``start``: the first call fills it with what the labels
-    read, the shifts c_e (floats) of a shift-only table or else the table cut
-    at ``start``, and the later ones reuse it.
+    An exit table maps an edge id to a ``PiecewiseLinearFn`` or to a shift,
+    the pair (t0, v0) of the exit time t -> v0 + (t - t0).  A Dijkstra, run
+    as far as lookups reach, when every entry is a shift with
+    c_e = v0 - t0 > 0, backward label correction on the exit times
+    restricted to [start, inf) otherwise (see the module docstring for why
+    that suffices).  ``restricted`` is a dict shared by the calls on one
+    exit table and one ``start``: the first call fills it with what the
+    labels read, the c_e (floats) of a shift-only table or else the table
+    cut at ``start``, and the later ones reuse it.
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
@@ -162,10 +193,7 @@ def compute_labels(network: Network, sink: str,
     if restricted is None:
         restricted = {}
     if not restricted:
-        shifts = _positive_shifts(exit_fns)
-        restricted.update(shifts if shifts is not None else (
-            (eid, f if start == -math.inf else restrict_from(f, start))
-            for eid, f in exit_fns.items()))
+        restricted.update(_table_read(exit_fns, start))
     if isinstance(next(iter(restricted.values()), 0.0), float):
         table = exit_fns
         labels = _ShiftLabels(network.in_edges, sink, restricted)
@@ -175,18 +203,31 @@ def compute_labels(network: Network, sink: str,
     return LabelSet(network, sink, labels, table, active_tolerance, start)
 
 
-def _positive_shifts(exit_fns):
-    """Edge id -> c_e if every exit time is t + c_e with c_e > 0, else None."""
-    shifts = {}
+def _table_read(exit_fns, start):
+    """What the labels read of an exit table: edge id -> c_e when every
+    entry is a shift with c_e > 0, else the table cut at ``start``.
+
+    A shift (t0, v0) with t0 <= start is cut to (start, v0 + (start - t0)),
+    which label correction composes as flat before ``start``; on the whole
+    line a shift stays as it is.
+    """
+    shifts = {eid: f[1] - f[0] for eid, f in exit_fns.items()
+              if type(f) is tuple}
+    if len(shifts) == len(exit_fns) and all(c > 0.0 for c in shifts.values()):
+        return shifts
+    if start == -math.inf:
+        return exit_fns
+    start = float(start)
+    cut = {}
     for eid, f in exit_fns.items():
-        if (len(f.times) != 1 or f.slope_before_first != 1.0
-                or f.slope_after_last != 1.0):
-            return None
-        c = f.values[0] - f.times[0]
-        if not c > 0.0:
-            return None
-        shifts[eid] = c
-    return shifts
+        if type(f) is tuple:
+            t0, v0 = f
+            if t0 <= start:
+                cut[eid] = (start, v0 + (start - t0))
+                continue
+            f = PiecewiseLinearFn((t0,), (v0,), 1.0, 1.0)
+        cut[eid] = restrict_from(f, start)
+    return cut
 
 
 class _ShiftLabels(Mapping):
@@ -272,6 +313,9 @@ def _corrected_labels(network, sink, exit_fns, start):
     """Backward label correction from ``sink`` under the given exit times,
     by relaxation in label-ordered passes (see the module docstring)."""
     at = 0.0 if start == -math.inf else start
+    # the slope of a shift before its anchor: cut at a finite start, the
+    # shift is flat before it
+    shift_slope = 1.0 if start == -math.inf else 0.0
     labels: dict[str, PiecewiseLinearFn] = {sink: identity_fn()}
     # node -> (min, max) of its label's excess l(t) - t on [start, inf)
     excess = {sink: (0.0, 0.0)}
@@ -300,16 +344,19 @@ def _corrected_labels(network, sink, exit_fns, start):
                 if v == sink:
                     continue
                 old = labels.get(v)
+                f = exit_fns[e.id]
+                shift = type(f) is tuple
                 if old is not None:
                     floor = edge_floor.get(e.id)
                     if floor is None:
-                        floor = edge_floor[e.id] = _excess(exit_fns[e.id],
-                                                           start)[0]
+                        floor = edge_floor[e.id] = (
+                            f[1] - f[0] if shift else _excess(f, start)[0])
                     # l_w(T_e(t)) - t >= head_floor + floor >= l_v(t) - t
                     top = excess[v][1]
                     if top + EPS * max(1.0, abs(top)) <= head_floor + floor:
                         continue
-                new = compose_monotone(head, exit_fns[e.id])
+                new = (compose_shift(head, f[0], f[1], shift_slope)
+                       if shift else compose_monotone(head, f))
                 if old is not None:
                     if not _undercuts(new, old, start):
                         continue

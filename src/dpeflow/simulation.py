@@ -17,14 +17,15 @@ Sub-phase boundaries never overrun the shortest transit time, so every rate
 change that could affect a decision is already materialized when it is
 needed; no discretization error enters below the round level.
 
-Forecasts are made for every edge in each round that needs labels.  Every
-predictor forecasts an edge that stays empty as the shared zero
-``constant_fn(0.0)``, whose exit time t + transit time depends on the edge
-alone; a run builds that free-flow exit function once per edge and shares
-it between all predictor specs, so an idle edge costs a forecast call and a
-lookup per round.  Skipping the forecasts of idle edges as well would need
-``perfbench/test_trace.py`` changed, which expects the number of forecasts
-to be a multiple of the edge count.
+Forecasts are made for every edge in each round that needs labels.  A
+forecast that is flat with one breakpoint (t0, q0), as every forecast of
+an edge that stays empty is (the shared zero ``constant_fn(0.0)``), is a
+shift: its exit time is t + c_e.  It enters the exit table as the pair
+(t0, t0 + transit time + q0 / capacity), and routing reads it as numbers;
+only the other forecasts are built into exit-time functions.  So an idle
+edge costs a forecast call and a pair per round.  Skipping the forecasts of
+idle edges as well would need ``perfbench/test_trace.py`` changed, which
+expects the number of forecasts to be a multiple of the edge count.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .predictors import (
     build_predictor,
     exit_time_fn,
 )
-from .pwl import EPS, PiecewiseLinearFn, constant_fn, linear_combination
+from .pwl import EPS, linear_combination
 from .routing import LabelSet, compute_labels
 
 log = logging.getLogger(__name__)
@@ -116,8 +117,6 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                   for c in comms]
     # forecasts are shared per predictor spec, labels per (spec, sink)
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
-    # edge id -> exit function of an empty forecast, for every spec
-    free_flow: dict[int, PiecewiseLinearFn] = {}
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -143,7 +142,8 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
         history = QueueHistory(state, round_start)
         label_cache: dict[tuple[str, str], LabelSet] = {}
         # spec key -> its exit table and what the spec's label sets read of
-        # it, the shifts or the table cut at the round start, shared by them
+        # it, the c_e of a shift-only table or the table cut at the round
+        # start, shared by them
         exit_cache: dict[str, tuple[dict, dict]] = {}
         exit_built = 0
 
@@ -154,8 +154,7 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             if ls is None:
                 tables = exit_cache.get(spec_key)
                 if tables is None:
-                    exit_fns, built = _exit_fns(predictors[i], history, net,
-                                                free_flow)
+                    exit_fns, built = _exit_fns(predictors[i], history, net)
                     exit_built += built
                     tables = exit_cache[spec_key] = (exit_fns, {})
                 ls = compute_labels(net, sink, tables[0],
@@ -241,26 +240,28 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
     return RunResult(scenario, state, rounds, events)
 
 
-def _exit_fns(predictor, history, net, free_flow):
-    """Predicted exit-time function of every edge under one predictor, and
-    how many of them were built.
+def _exit_fns(predictor, history, net):
+    """Predicted exit times of every edge under one predictor, as an exit
+    table (see ``routing.compute_labels``), and how many PL exit functions
+    were built.
 
-    ``free_flow`` maps an edge id to the exit function of an empty forecast,
-    the shared ``constant_fn(0.0)``, and is filled on first use.
+    A forecast with one breakpoint (t0, q0) whose exit slopes are 1.0 is a
+    shift: it enters as the pair (t0, t0 + transit time + q0 / capacity),
+    the exit time at t0, which ``exit_time_fn`` would put in its breakpoint.
+    Every other forecast goes through ``exit_time_fn``.
     """
-    zero = constant_fn(0.0)
     exit_fns = {}
     built = 0
     for e in net.edges:
         predicted = predictor.predict(history, e.id)
-        idle = predicted.fn is zero
-        fn = free_flow.get(e.id) if idle else None
-        if fn is None:
-            fn = exit_time_fn(predicted, e.transit_time, e.capacity)
+        q, cap = predicted.fn, e.capacity
+        if (len(q.times) == 1 and 1.0 + q.slope_before_first / cap == 1.0
+                and 1.0 + q.slope_after_last / cap == 1.0):
+            t0 = q.times[0]
+            exit_fns[e.id] = (t0, t0 + e.transit_time + q.values[0] / cap)
+        else:
+            exit_fns[e.id] = exit_time_fn(predicted, e.transit_time, cap)
             built += 1
-            if idle:
-                free_flow[e.id] = fn
-        exit_fns[e.id] = fn
     return exit_fns, built
 
 
@@ -320,10 +321,12 @@ def audit_dpe(result: RunResult) -> int:
 
     Predictors only read queues up to the prediction time, so rebuilding the
     forecast from the final state must reproduce the live decision exactly.
-    The replay uses its own predictors, free-flow table and whole-line
-    labels, shared per (spec, sink) and round as in ``run``.  Returns the
-    number of verified queries; raises on any mismatch.
+    The replay uses its own predictors and whole-line labels, shared per
+    (spec, sink) and round as in ``run``.  Returns the number of verified
+    queries; raises on any mismatch, and on a run made with
+    ``record_rounds=False``, which has no decisions to replay.
     """
+    _check_recorded(result)
     scenario = result.scenario
     net = scenario.network
     comms = scenario.commodities
@@ -332,7 +335,6 @@ def audit_dpe(result: RunResult) -> int:
                                   final_state=result.state)
                   for c in comms]
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
-    free_flow: dict[int, PiecewiseLinearFn] = {}
     checked = 0
     for record in result.rounds:
         history = QueueHistory(result.state, record.time)
@@ -344,7 +346,7 @@ def audit_dpe(result: RunResult) -> int:
             if ls is None:
                 if spec_key not in exit_tables:
                     exit_tables[spec_key] = _exit_fns(
-                        predictors[i], history, net, free_flow)[0]
+                        predictors[i], history, net)[0]
                 ls = labels[(spec_key, sink)] = compute_labels(
                     net, sink, exit_tables[spec_key], scenario.active_tolerance)
             replay_ids = tuple(e.id for e in ls.active_edges(v, record.time))
@@ -363,8 +365,10 @@ def audit_ide(result: RunResult) -> int:
     path on edge costs transit_time + queue(now)/capacity.  Compares the
     recorded active sets against a scalar Bellman-Ford run per round, and
     each active edge's cost gap against the active tolerance plus 1e-9.
-    Returns the number of verified queries.
+    Returns the number of verified queries; a run made with
+    ``record_rounds=False`` is refused.
     """
+    _check_recorded(result)
     scenario = result.scenario
     for c in scenario.commodities:
         if c.predictor_spec.get("kind") != "constant":
@@ -401,6 +405,14 @@ def audit_ide(result: RunResult) -> int:
                         f"{gap:g} above the shortest path")
             checked += 1
     return checked
+
+
+def _check_recorded(result: RunResult) -> None:
+    # run makes at least one round, so no rounds means none were recorded,
+    # and an audit of them would check nothing
+    if not result.rounds:
+        raise ValueError("the run recorded no rounds to audit; run it with "
+                         "record_rounds=True")
 
 
 def _scalar_distances(net: Network, sink: str, costs: dict[int, float]):

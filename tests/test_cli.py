@@ -161,7 +161,9 @@ def test_non_object_predictor_in_scenario_is_an_input_error(
      "predictor.threshold must be a finite number, got 'x'"),
     ({"kind": "regression", "model": 5},
      "predictor.model must be a string, got 5"),
-], ids=["prediction_horizon", "threshold", "model"])
+    ({"kind": "threshold", "threshold": 0.5, "high_value": -50},
+     "predictor.high_value must be a finite number >= 0, got -50"),
+], ids=["prediction_horizon", "threshold", "model", "high_value"])
 def test_bad_predictor_spec_in_scenario_is_an_input_error(
         scenario_file, tmp_path, capsys, spec, message):
     # each of these used to end in a traceback

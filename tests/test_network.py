@@ -188,9 +188,11 @@ KINDS = "zero, constant, linear, reg_linear, threshold, perfect, regression"
     ({"kind": "threshold", "threshold": "x"},
      "predictor.threshold must be a finite number, got 'x'"),
     ({"kind": "threshold", "high_value": math.nan},
-     "predictor.high_value must be a finite number, got nan"),
+     "predictor.high_value must be a finite number >= 0, got nan"),
     ({"kind": "regression", "model": 5},
      "predictor.model must be a string, got 5"),
+    ({"kind": "threshold", "high_value": -3.0},
+     "predictor.high_value must be a finite number >= 0, got -3.0"),
 ])
 def test_predictor_spec_checked_where_read(spec, message):
     doc = json.loads((DATA / "two_routes.scenario.json").read_text())

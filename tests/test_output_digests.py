@@ -1,5 +1,9 @@
-"""Bit-for-bit digests of run outputs: the 20 two-route sweep cells and the
-C1 scenarios of seeds 0-9.
+"""Bit-for-bit digests of run outputs: the 20 two-route sweep cells, the
+C1 scenarios of seeds 0-9 and two Sioux Falls runs.  The Sioux Falls runs
+are cut from the benchmark's workloads: 12 commodities cycling the five
+predictors to horizon 20 (mixed exit tables, many of whose edges are
+shifts) and 48 zero-predictor commodities to horizon 8 (shift-only tables
+shared between sinks).
 
 A digest is the SHA-256 of one run's outputs written out with every float
 as ``float.hex``: the per-commodity metrics, the event log in order, every
@@ -22,7 +26,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import PREDICTOR_CYCLE, random_scenario  # noqa: E402
-from dpeflow.network import load_scenario  # noqa: E402
+from dpeflow.network import (  # noqa: E402
+    Scenario,
+    import_tntp,
+    load_scenario,
+    random_commodities,
+)
 from dpeflow.simulation import compute_metrics, run, sweep_variant  # noqa: E402
 
 DATA = Path(__file__).parent.parent / "data"
@@ -40,6 +49,15 @@ def cases():
                 two_routes, total, spec["kind"])
     for seed in range(10):
         out[f"c1 seed {seed}"] = random_scenario(seed)
+    sioux = import_tntp(DATA / "sioux_falls_net.tntp")
+    for name, count, factor, cutoff, kinds, horizon in (
+            ("sioux mixed", 12, 0.5, 20.0, PREDICTOR_CYCLE, 20.0),
+            ("sioux zero", 48, 0.1, 5.0, ({"kind": "zero"},), 8.0)):
+        comms = random_commodities(sioux, count, seed=12,
+                                   inflow_factor=factor, inflow_cutoff=cutoff,
+                                   predictor_kinds=kinds)
+        out[name] = Scenario(network=sioux, commodities=comms,
+                             prediction_step=1.0, horizon=horizon)
     return out
 
 
@@ -113,6 +131,8 @@ DIGESTS = {
     'c1 seed 7': '56fc1263f6b1d15d22f56349fd6af15a64b4e8aaf3856bbefea77e34c3d926a8',
     'c1 seed 8': '06275a064abe13f9a76763ccae8787f92e4eb3e8809f5abe0bd5f998f3b95daa',
     'c1 seed 9': '4cde36a51d0c1a5637a12209e419c8d5b1bf4aa9dff061d5f2c560f78c73824d',
+    'sioux mixed': '5bebb863c35a38a82f23c13cd2ac5d05f9042133fb2e7ffac555add960520ba2',
+    'sioux zero': 'cec099eca88ff7e60d382a598320be9d9e7f3ee9f126e69b45977fc74d4ab021',
 }
 
 

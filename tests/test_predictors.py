@@ -196,6 +196,19 @@ def test_threshold_predictor_jumps_at_one():
     assert ThresholdPredictor().predict(at, 0)(5.0) == 2.0
 
 
+def test_threshold_high_value_is_a_queue_length():
+    # a negative forecast queue would make exit times shorter than the
+    # transit time, or rewind time; a direct library call is refused too
+    for bad in (-3.0, -50, -1e-300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="high_value is a queue length"):
+            ThresholdPredictor(0.5, bad)
+        with pytest.raises(ValueError, match="high_value is a queue length"):
+            build_predictor({"kind": "threshold", "high_value": bad},
+                            PredictorParams())
+    at = history(pl([(0.0, 1.0)]), 0.0)
+    assert ThresholdPredictor(0.5, 0.0).predict(at, 0)(5.0) == 0.0
+
+
 def test_perfect_predictor_requires_final_state():
     h = history(pl([(0.0, 1.0)]), 0.0)
     with pytest.raises(PredictorModeError, match="decision loop"):

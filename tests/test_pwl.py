@@ -18,6 +18,7 @@ from dpeflow.pwl import (
     _lower_two,
     _sample,
     compose_monotone,
+    compose_shift,
     constant_fn,
     from_points,
     identity_fn,
@@ -248,14 +249,14 @@ finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infin
 
 
 @st.composite
-def piecewise_linear(draw, monotone=False):
-    n = draw(st.integers(min_value=1, max_value=6))
+def piecewise_linear(draw, monotone=False, max_breakpoints=6):
+    n = draw(st.integers(min_value=1, max_value=max_breakpoints))
     raw = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n,
                         unique=True))
     times = sorted(raw)
     for a, b in zip(times, times[1:]):
         if b - a < 1e-3:
-            return draw(piecewise_linear(monotone=monotone))
+            return draw(piecewise_linear(monotone, max_breakpoints))
     if monotone:
         steps = draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
                               min_size=n, max_size=n))
@@ -482,6 +483,33 @@ def test_property_restrict_from_keeps_f_from_start_on(data):
                                   g.slope_after_last)
     # a function that already starts there with a flat tail is kept
     assert restrict_from(g, start) is g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_property_compose_shift_is_compose_monotone_bit_for_bit(data):
+    # a label after a shift t -> v0 + (t - t0), on the whole line and cut
+    # at t0 (flat before it); anchors and anchor values on, between and
+    # within EPS of the label's breakpoints, so that preimages land on, next
+    # to and within EPS of the anchor
+    if data is None:   # a preimage exactly on the anchor
+        outer = PiecewiseLinearFn((1.0, 3.0), (2.0, 9.0), 0.5, 2.0)
+        t0, v0 = 5.0, 3.0
+    else:
+        outer = data.draw(piecewise_linear(monotone=True, max_breakpoints=7))
+        t0 = data.draw(restriction_starts(outer.times))
+        v0 = data.draw(restriction_starts(outer.times))
+    for slope_before in (1.0, 0.0):
+        got = compose_shift(outer, t0, v0, slope_before)
+        want = compose_monotone(outer, PiecewiseLinearFn(
+            (t0,), (v0,), slope_before, 1.0))
+        assert [x.hex() for x in (*got.times, *got.values,
+                                  got.slope_before_first,
+                                  got.slope_after_last)] == [
+            x.hex() for x in (*want.times, *want.values,
+                              want.slope_before_first,
+                              want.slope_after_last)]
 
 
 def test_restrict_from_edges():

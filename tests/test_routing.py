@@ -23,7 +23,7 @@ from dpeflow.pwl import (
 )
 from dpeflow.routing import (
     ConvergenceError,
-    _positive_shifts,
+    _ShiftLabels,
     _undercuts,
     compute_labels,
 )
@@ -49,6 +49,11 @@ def path_arrival_oracle(network, sink, exit_fns, node, t):
 
 def shift(c):
     return PiecewiseLinearFn((0.0,), (c,), 1.0, 1.0)
+
+
+def shift_entry(c):
+    """The exit-table entry of t -> t + c: the pair (t0, v0) = (0, c)."""
+    return (0.0, c)
 
 
 def random_exit_fn(rng, t_range=(0.0, 20.0)):
@@ -148,13 +153,14 @@ def test_shift_network_labels_are_exact(seed):
 
 
 def assert_shift_paths_agree(net, sink, costs):
-    # each shift once with one breakpoint (Dijkstra) and once with a
-    # collinear second breakpoint (label correction)
-    one = {eid: shift(c) for eid, c in costs.items()}
+    # each shift once as a shift entry (Dijkstra) and once as a PL function
+    # with a collinear second breakpoint (label correction)
+    one = {eid: shift_entry(c) for eid, c in costs.items()}
     two = {eid: PiecewiseLinearFn((0.0, 5.0), (c, 5.0 + c), 1.0, 1.0)
            for eid, c in costs.items()}
-    assert _positive_shifts(one) is not None and _positive_shifts(two) is None
     fast, slow = compute_labels(net, sink, one), compute_labels(net, sink, two)
+    assert isinstance(fast.labels, _ShiftLabels)
+    assert type(slow.labels) is dict
     assert fast.labels.keys() == slow.labels.keys()
     for v in net.nodes:
         for t in (-2.0, 0.0, 6.0, 13.7):
@@ -203,7 +209,7 @@ def dyadic_shift_instance(seed):
                   [(e.tail, e.head, 1.0, 1.0) for e in net.edges]
                   + [(sink, "u", 1.0, 1.0)])
     costs = {e.id: int(rng.integers(1, 32)) / 8 for e in net.edges}
-    return net, sink, {eid: shift(c) for eid, c in costs.items()}
+    return net, sink, {eid: shift_entry(c) for eid, c in costs.items()}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -214,16 +220,11 @@ def test_shift_labels_match_eager_labels_and_act_like_a_dict(seed):
     for _ in net.nodes:
         for e in net.edges:
             if e.head in dist:
-                d = dist[e.head] + exit_fns[e.id].values[0]
+                d = dist[e.head] + exit_fns[e.id][1]
                 if d < dist.get(e.tail, math.inf):
                     dist[e.tail] = d
     eager = {v: PiecewiseLinearFn((0.0,), (d,), 1.0, 1.0)
              for v, d in dist.items()}
-
-    def hexed(f):
-        return [float.hex(x) for x in (*f.times, *f.values,
-                                       f.slope_before_first,
-                                       f.slope_after_last)]
 
     for v in net.nodes:
         assert (v in ls.labels) == (v in eager) == (v != "u")
@@ -241,6 +242,8 @@ def test_shift_labels_match_eager_labels_and_act_like_a_dict(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_active_edges_builds_only_the_labels_it_reads(seed, monkeypatch):
+    # active_edges compares distances and shifts as floats; a label function
+    # is built on its first lookup only, once
     net, sink, exit_fns = dyadic_shift_instance(seed)
     v = net.nodes[0]
     read = {v} | {e.head for e in net.out_edges[v]}
@@ -254,12 +257,48 @@ def test_active_edges_builds_only_the_labels_it_reads(seed, monkeypatch):
 
     monkeypatch.setattr(PiecewiseLinearFn, "__post_init__", counted)
     ls = compute_labels(net, sink, exit_fns)
-    ls.active_edges(v, 2.0)
-    assert len(built) == len(read)
-    ls.active_edges(v, 3.0)
+    active = ls.active_edges(v, 2.0)
+    assert built == [] and ls.active_edges(v, 3.0) == active
     for w in read:
         ls.earliest_arrival(w, 1.0)
     assert len(built) == len(read)
+    ls.active_edges(v, 4.0)
+    for w in read:
+        ls.earliest_arrival(w, 5.0)
+    assert len(built) == len(read)
+    # the same test as on the label functions
+    for t in (0.0, 2.0, 7.5):
+        best = ls.labels[v](t)
+        assert active == [e for e in net.out_edges[v] if e.head in ls.labels
+                          and ls.labels[e.head](exit_fns[e.id][1] + t)
+                          <= best + ls.active_tolerance]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_active_edges_evaluate_as_the_label_functions(seed):
+    # on shift labels, active_edges decides as the label and exit functions
+    # would, to the last bit: with no tolerance, a route that ties with the
+    # node's label only up to rounding is active exactly when the functions
+    # say so
+    rng = np.random.default_rng(seed)
+    net, _, sink = random_instance(rng, int(rng.integers(6, 12)))
+    now = round(float(rng.uniform(0.0, 50.0)), 2)
+    exit_fns = {e.id: (t0, t0 + float(rng.uniform(0.05, 3.0)))
+                for e in net.edges
+                for t0 in [float(rng.choice([0.0, now]))]}
+    functions = {eid: PiecewiseLinearFn((t0,), (v0,), 1.0, 1.0)
+                 for eid, (t0, v0) in exit_fns.items()}
+    for tol in (0.0, 1e-9):
+        ls = compute_labels(net, sink, exit_fns, tol, start=now)
+        assert isinstance(ls.labels, _ShiftLabels)
+        for v in net.nodes:
+            for t in (now, now + 0.37, now + 12.5):
+                label = ls.labels.get(v)
+                want = [] if label is None else [
+                    e for e in net.out_edges[v] if e.head in ls.labels
+                    and ls.labels[e.head](functions[e.id](t))
+                    <= label(t) + tol]
+                assert ls.active_edges(v, t) == want
 
 
 def eager_shift_distances(network, sink, costs):
@@ -291,7 +330,7 @@ def test_resumable_shift_labels_equal_eager_distances_in_any_order(
                   + [(sink, "u", 1.0, 1.0)])
     costs = {e.id: float(rng.choice([0.1, 0.3, rng.uniform(0.05, 2.0)]))
              for e in net.edges}
-    exit_fns = {eid: shift(c) for eid, c in costs.items()}
+    exit_fns = {eid: shift_entry(c) for eid, c in costs.items()}
     dist = eager_shift_distances(net, sink, costs)
     assert "u" not in dist
 
@@ -430,6 +469,44 @@ def test_labels_from_start_on_the_shift_path():
             compute_labels(net, "t", {0: shift(1.0), 1: shift(2.5)}, start=bad)
 
 
+def hexed(f):
+    return [x.hex() for x in (*f.times, *f.values, f.slope_before_first,
+                              f.slope_after_last)]
+
+
+@pytest.mark.parametrize("seed, extra", LABEL_INSTANCES)
+def test_shift_entries_give_the_labels_of_their_functions(seed, extra):
+    # label correction on a table whose shifts are entries gives, bit for
+    # bit, the labels and active sets of the same table with every shift a
+    # PL function; shifts anchored before, at and after the start
+    rng = np.random.default_rng(seed)
+    net, exit_fns, sink = random_instance(rng, int(rng.integers(4, 9)))
+    if extra is not None:
+        net, exit_fns = with_extra_edges(rng, net, sink, extra)
+    entries = dict(exit_fns)
+    for eid in exit_fns:
+        if rng.random() < 0.6:
+            t0 = float(rng.choice([0.0, 3.0, round(rng.uniform(0.0, 20.0),
+                                                    3)]))
+            entries[eid] = (t0, t0 + float(rng.uniform(0.5, 4.0)))
+    fns = {eid: PiecewiseLinearFn((f[0],), (f[1],), 1.0, 1.0)
+           if type(f) is tuple else f for eid, f in entries.items()}
+    for start in (-math.inf, 0.0, 3.0, 4.25, float(rng.uniform(0.0, 20.0))):
+        # no tolerance, so that active sets decide to the last bit
+        got = compute_labels(net, sink, entries, 0.0, start=start)
+        want = compute_labels(net, sink, fns, 0.0, start=start)
+        assert type(got.labels) is dict
+        assert ({v: hexed(f) for v, f in got.labels.items()}
+                == {v: hexed(f) for v, f in want.labels.items()})
+        times = ((-2.0, 0.0, 6.0, 13.7) if start == -math.inf
+                 else (start, start + 0.1, start + 7.0))
+        for v in net.nodes:
+            for t in times:
+                assert got.active_edges(v, t) == want.active_edges(v, t)
+                assert (got.earliest_arrival(v, t).hex()
+                        == want.earliest_arrival(v, t).hex())
+
+
 def reference_labels(network, sink, exit_fns, start=-math.inf):
     """Label correction in pull order, as routing did it before relaxation:
     a FIFO queue of nodes whose label may be stale, each pop recomputing one
@@ -530,7 +607,6 @@ def test_relaxation_passes_pop_in_label_order(seed, monkeypatch):
     # popped at most once per pass, and the first pass pops in key order
     rng = np.random.default_rng(seed)
     net, exit_fns, sink = random_instance(rng, int(rng.integers(6, 10)))
-    assert _positive_shifts(exit_fns) is None
     log, composed, heaps = [], [], []
 
     def compose(outer, inner):
@@ -560,6 +636,7 @@ def test_relaxation_passes_pop_in_label_order(seed, monkeypatch):
         for record in (log, composed, heaps, relaxed):
             record.clear()
         ls = compute_labels(net, sink, exit_fns, start=start)
+        assert type(ls.labels) is dict   # corrected, not shift labels
         edge_of = {id(f): eid for eid, f in ls.exit_fns.items()}
         pairs = [(edge_of[id(inner)], id(outer)) for outer, inner in composed]
         assert len(pairs) == len(set(pairs))

@@ -260,9 +260,10 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     # a queue of 1 builds on [0, 1) and drains by 2; the outflow on [1, 3)
     # keeps the edge live through round 2, after which nothing is advanced.
     # Only round 0 has inflow at a node other than the sink, so it alone
-    # answers a query, builds the exit functions of both edges and computes
-    # a label set.  The source's split is assigned in round 0 and set to 0
-    # when the inflow ends in round 1; nothing is re-split after that.
+    # answers a query and computes a label set; its zero forecasts are
+    # shifts, so it builds no exit function.  The source's split is
+    # assigned in round 0 and set to 0 when the inflow ends in round 1;
+    # nothing is re-split after that.
     net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
     c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
     scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
@@ -271,32 +272,33 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
         run(scenario)
     assert [r.getMessage() for r in caplog.records] == [
         f"round {k} at t={k}: 1 sub-phases, {int(k < 2)} pairs re-split, "
-        f"{int(k < 3)} edges advanced, "
-        f"{2 * int(k == 0)} exit functions built, "
+        f"{int(k < 3)} edges advanced, 0 exit functions built, "
         f"{int(k == 0)} label sets, {int(k == 0)} active queries"
         for k in range(5)]
     # a second predictor spec toward the same sink needs its own label set;
-    # at time 0 both edges are empty, so its linear forecasts are the shared
-    # zero and it reuses the zero spec's free-flow exit functions
+    # at time 0 both edges are empty, so its linear forecasts are shifts too
     caplog.clear()
     other = Commodity(1, "s", "t", block_inflow(2.0, 1.0), {"kind": "linear"})
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(dataclasses.replace(scenario, commodities=(c, other)))
     assert caplog.records[0].getMessage().endswith(
-        ", 2 exit functions built, 2 label sets, 2 active queries")
-    # with inflow until 3, the constant forecast of the queued edge changes
-    # in rounds 1 and 2; the idle edge keeps its exit function
-    caplog.clear()
-    busy = Commodity(0, "s", "t", block_inflow(2.0, 3.0), {"kind": "constant"})
-    with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
-        run(dataclasses.replace(scenario, commodities=(busy,)))
-    assert [r.getMessage().split(", ")[3] for r in caplog.records] == [
-        f"{n} exit functions built" for n in (2, 1, 1, 0, 0)]
+        ", 0 exit functions built, 2 label sets, 2 active queries")
+    # with inflow until 3 the queue of edge 0 grows in rounds 1 and 2: its
+    # constant forecasts stay shifts, its linear forecasts slope and are
+    # built; the other edge stays a shift
+    for kind, built in (("constant", (0, 0, 0, 0, 0)),
+                        ("linear", (0, 1, 1, 0, 0))):
+        caplog.clear()
+        busy = Commodity(0, "s", "t", block_inflow(2.0, 3.0), {"kind": kind})
+        with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
+            run(dataclasses.replace(scenario, commodities=(busy,)))
+        assert [r.getMessage().split(", ")[3] for r in caplog.records] == [
+            f"{n} exit functions built" for n in built]
 
 
-def padded_two_routes(kind):
-    """The two-route scenario under one predictor, plus a chain of edges
-    that flow never reaches."""
+def padded_two_routes(kind, total=2.0):
+    """The two-route scenario under one predictor and a total inflow, plus
+    a chain of edges that flow never reaches."""
     base = two_routes()
     pad = [f"x{k}" for k in range(4)]
     net = Network(
@@ -304,7 +306,7 @@ def padded_two_routes(kind):
         [(e.tail, e.head, e.transit_time, e.capacity)
          for e in base.network.edges]
         + [(a, b, 1.0, 1.0) for a, b in zip(pad, pad[1:])])
-    return dataclasses.replace(sweep_variant(base, 2.0, kind), network=net)
+    return dataclasses.replace(sweep_variant(base, total, kind), network=net)
 
 
 @pytest.fixture
@@ -321,27 +323,41 @@ def exit_fns_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def cuts(monkeypatch):
+    """Counts the exit functions label correction cuts, per round start."""
+    starts = []
+    original = routing.restrict_from
+
+    def counted(f, start):
+        starts.append(start)
+        return original(f, start)
+
+    monkeypatch.setattr(routing, "restrict_from", counted)
+    return starts
+
+
 @pytest.mark.parametrize("kind", ["zero", "constant"])
-def test_exit_functions_are_built_once_per_idle_edge(kind, exit_fns_built):
-    scenario = padded_two_routes(kind)
-    built = exit_fns_built
+def test_exit_functions_are_built_once_per_idle_edge(kind, exit_fns_built,
+                                                     cuts):
+    # zero and constant forecasts are shifts, queued edges' included: they
+    # enter the exit tables as pairs, so neither the run nor its audit
+    # builds or cuts a PL exit function
+    scenario = padded_two_routes(kind, total=10.0)
     result = run(scenario)
-    n_base = len(two_routes().network.edges)
-    idle = [e.id for e in scenario.network.edges
-            if kind == "zero" or e.id >= n_base]
     assert len(result.rounds) > 1
-    assert [built[eid] for eid in idle] == [1] * len(idle)
-    assert set(built) == {e.id for e in scenario.network.edges}
-    # the audit builds its own exit functions, the free-flow ones once per
-    # audit, and reaches the same decisions
-    built.clear()
+    if kind == "constant":
+        assert any(any(result.state.queue_fn(e.id).values)
+                   for e in scenario.network.edges)
+    assert exit_fns_built == {} and cuts == []
     assert audit_dpe(result) > 0
-    assert [built[eid] for eid in idle] == [1] * len(idle)
+    assert exit_fns_built == {} and cuts == []
 
 
 def test_exit_functions_are_built_once_per_idle_edge_for_all_specs(
         exit_fns_built):
-    # zero and linear commodities share one free-flow exit function per edge
+    # beside a zero commodity, a linear one builds exit functions only for
+    # the queued edges whose forecasts slope; idle edges are shifts
     base = padded_two_routes("zero")
     c = base.commodities[0]
     comms = (c, dataclasses.replace(c, id=1, predictor_spec={"kind": "linear"}))
@@ -350,39 +366,59 @@ def test_exit_functions_are_built_once_per_idle_edge_for_all_specs(
     idle = [e.id for e in scenario.network.edges
             if not any(result.state.queue_fn(e.id).values)]
     assert len(result.rounds) > 1 and len(idle) > 3
-    assert [exit_fns_built[eid] for eid in idle] == [1] * len(idle)
+    assert [exit_fns_built[eid] for eid in idle] == [0] * len(idle)
+    built = sum(exit_fns_built.values())
+    assert built > 0
+    exit_fns_built.clear()
     assert audit_dpe(result) > 0
+    assert sum(exit_fns_built.values()) == built
 
 
-class _OneQueued:
-    """Forecasts a queue of 1 on edge 0 and an empty queue elsewhere."""
+class _Forecasts:
+    """Forecasts a flat queue of 1 on edge 0, a slope too small to move
+    the exit slope off 1.0 on edge 1, a slope on edge 2, two breakpoints on
+    edge 3 and an empty queue elsewhere."""
 
     def predict(self, history, edge_id):
-        return PredictedQueue(edge_id, history.now,
-                              constant_fn(0.0 if edge_id else 1.0))
+        now = history.now
+        fn = {0: constant_fn(1.0),
+              1: PiecewiseLinearFn((now,), (1.0,), 0.0, 1e-17),
+              2: PiecewiseLinearFn((now,), (1.0,), 0.0, 0.5),
+              3: PiecewiseLinearFn((now, now + 1.0), (1.0, 2.0))}.get(
+                  edge_id, constant_fn(0.0))
+        return PredictedQueue(edge_id, now, fn)
 
 
 def test_free_flow_table_holds_only_empty_forecasts():
+    # an exit table holds every forecast with one breakpoint and exit
+    # slopes 1.0, the empty (free-flow) one included, as the pair of that
+    # breakpoint's time and the exit time exit_time_fn gives it; only the
+    # other forecasts are built as exit functions
     net = padded_two_routes("zero").network
     state = FlowOverTime(net, 1)
-    free_flow = {}
     builds = []
-    for predictor in (ZeroPredictor(), LinearPredictor(), _OneQueued()):
+    for predictor in (ZeroPredictor(), LinearPredictor(), _Forecasts()):
         for now in (0.0, 1.0):
             history = QueueHistory(state, now)
-            fns, built = simulation._exit_fns(predictor, history, net,
-                                              free_flow)
+            fns, built = simulation._exit_fns(predictor, history, net)
             builds.append(built)
-            assert fns == {e.id: simulation.exit_time_fn(
-                predictor.predict(history, e.id), e.transit_time, e.capacity)
-                for e in net.edges}
-            queued = {0} if isinstance(predictor, _OneQueued) else set()
-            assert [fns[e.id] is free_flow[e.id] for e in net.edges] == [
-                e.id not in queued for e in net.edges]
-    # the first pass builds every edge's, later passes only the queued edge's
-    assert builds == [len(net.edges), 0, 0, 0, 1, 1]
-    assert free_flow == {e.id: PiecewiseLinearFn(
-        (0.0,), (e.transit_time,), 1.0, 1.0) for e in net.edges}
+            assert list(fns) == [e.id for e in net.edges]
+            for e in net.edges:
+                want = simulation.exit_time_fn(
+                    predictor.predict(history, e.id), e.transit_time,
+                    e.capacity)
+                got = fns[e.id]
+                if type(got) is tuple:
+                    assert (len(want.times), want.slope_before_first,
+                            want.slope_after_last) == (1, 1.0, 1.0)
+                    assert [x.hex() for x in got] == [
+                        want.times[0].hex(), want.values[0].hex()]
+                else:
+                    assert got == want and e.id in (2, 3)
+    assert builds == [0, 0, 0, 0, 2, 2]
+    free_flow = simulation._exit_fns(ZeroPredictor(),
+                                     QueueHistory(state, 1.0), net)[0]
+    assert free_flow == {e.id: (0.0, e.transit_time) for e in net.edges}
 
 
 def test_two_routes_replay_reproduces_decisions():
@@ -411,6 +447,17 @@ def test_constant_predictor_on_sioux_falls_is_instantaneous(sioux_network):
                         prediction_step=1.0, horizon=30.0)
     result = run(scenario)
     assert audit_ide(result) == audit_dpe(result) == 1253
+
+
+def test_audits_refuse_runs_without_recorded_rounds():
+    scenario = sweep_variant(two_routes(), 2.0, "constant")
+    result = run(scenario, record_rounds=False)
+    assert result.rounds == []
+    for audit in (audit_dpe, audit_ide):
+        with pytest.raises(ValueError, match="record_rounds=True"):
+            audit(result)
+    recorded = run(scenario)
+    assert audit_dpe(recorded) == audit_ide(recorded) > 0
 
 
 def test_ide_audit_refuses_other_predictors():
@@ -447,6 +494,17 @@ def test_counterexample_oscillates_every_round():
     late = [q for t, q in demo["queue_trace"] if t >= 1.0]
     assert max(late) == pytest.approx(1.0, abs=1e-12)
     assert min(late) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_negative_threshold_high_value_is_refused():
+    # it used to route on negative shifts: -3 delivered 97.6 of 250 units,
+    # -50 raised ConvergenceError
+    base = sweep_variant(two_routes(), 10.0, "threshold")
+    spec = {"kind": "threshold", "threshold": 0.5, "high_value": -50}
+    c = dataclasses.replace(base.commodities[0], predictor_spec=spec)
+    with pytest.raises(ValidationError, match="commodity 0: predictor."
+                       "high_value must be a finite number >= 0, got -50"):
+        dataclasses.replace(base, commodities=(c,))
 
 
 def test_counterexample_scenario_shape():
@@ -547,7 +605,8 @@ def test_labels_are_computed_once_per_spec_and_sink(monkeypatch):
 
 def test_exit_tables_are_cut_once_per_spec_and_round(monkeypatch):
     # two sinks share each round's linear exit table, which is cut at the
-    # round start once; the shift-only zero table is never cut
+    # round start once: its PL functions by restrict_from, its shifts as
+    # pairs; the shift-only zero table is never cut
     net = Network(["s", "a", "t"],
                   [("s", "a", 1.0, 1.0), ("a", "t", 1.0, 1.0),
                    ("s", "t", 2.5, 1.0), ("a", "t", 2.0, 1.0)])
@@ -572,7 +631,8 @@ def test_exit_tables_are_cut_once_per_spec_and_round(monkeypatch):
         ls = real_labels(net, sink, exit_fns, tol, start=start,
                          restricted=restricted)
         if ls.exit_fns is restricted:   # corrected on the shared cut
-            tables[id(restricted)] = restricted   # holding keeps ids unique
+            # holding the table keeps ids unique
+            tables[id(restricted)] = (start, restricted, exit_fns)
             corrected.append(sink)
         else:
             assert ls.exit_fns == exit_fns
@@ -581,8 +641,17 @@ def test_exit_tables_are_cut_once_per_spec_and_round(monkeypatch):
     monkeypatch.setattr(routing, "restrict_from", restrict)
     monkeypatch.setattr(simulation, "compute_labels", labels)
     cut = run(scenario)
-    assert len(cuts) == len(tables) * len(net.edges)
     assert len(corrected) > len(tables) > 0
+    pl = 0
+    for start, table, exit_fns in tables.values():
+        assert list(table) == list(exit_fns)
+        for eid, f in table.items():
+            if type(f) is tuple:   # a shift (t0, v0), cut to (start, ...)
+                t0, v0 = exit_fns[eid]
+                assert f == (start, v0 + (start - t0))
+            else:
+                pl += 1
+    assert len(cuts) == pl > 0
     assert cut.events == plain.events
     assert ([r.active_queries for r in cut.rounds]
             == [r.active_queries for r in plain.rounds])
