@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .predictors import PREDICTOR_KINDS
+from .predictors import PREDICTOR_KINDS, check_settings
 from .pwl import EPS, RightConstantFn
 
 SCENARIO_FORMAT = "dpe-scenario/1"
@@ -52,17 +51,15 @@ class Network:
     finite and > ``pwl.EPS``.
 
     Parallel edges and opposing edge pairs are allowed; self-loops are not.
+    ``edges`` are (tail, head, transit_time, capacity) rows; edge ids are
+    their positions.
     """
 
     def __init__(self, nodes, edges):
         self.nodes: tuple[NodeId, ...] = tuple(dict.fromkeys(nodes))
         self.node_index = {v: i for i, v in enumerate(self.nodes)}
         built = []
-        for i, e in enumerate(edges):
-            if isinstance(e, Edge):
-                tail, head, tt, cap = e.tail, e.head, e.transit_time, e.capacity
-            else:
-                tail, head, tt, cap = e
+        for i, (tail, head, tt, cap) in enumerate(edges):
             if tail not in self.node_index:
                 raise ValidationError(f"edge {i}: unknown tail node {tail!r}")
             if head not in self.node_index:
@@ -118,8 +115,8 @@ class Commodity:
 class PredictorParams:
     """Shared predictor hyperparameters; individual specs may override.
 
-    Checked when made, against the bounds a regression model file must meet
-    (``RegressionModel.load``); a ValidationError names the field."""
+    Checked when made, against the setting rules (``predictors.SETTINGS``);
+    a ValidationError names the field."""
 
     delta: float = 1.0                 # sampling step for backward differences
     prediction_horizon: float = math.inf
@@ -128,44 +125,7 @@ class PredictorParams:
     neighborhood_radius: int = 5       # incoming edges of the tail, zero-padded
 
     def __post_init__(self):
-        for name, (ok, bound) in _PARAM_BOUNDS.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ValidationError(f"predictor_params.{name} must be "
-                                      f"{bound}, got {value!r}")
-
-
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _finite(x) -> bool:
-    return _real(x) and math.isfinite(x)
-
-
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-# field -> (test, the bound in words), in PredictorParams' field order
-_PARAM_BOUNDS = {
-    "delta": (lambda x: _finite(x) and x > 0, "finite and > 0"),
-    "prediction_horizon": (lambda x: _real(x) and x > 0, "> 0"),
-    "samples": (lambda x: _integer(x) and x >= 1, "an integer >= 1"),
-    "sample_step": (lambda x: _finite(x) and x > 0, "finite and > 0"),
-    "neighborhood_radius": (lambda x: _integer(x) and x >= 0,
-                            "an integer >= 0"),
-}
-# the keys of a predictor spec that ``build_predictor`` reads besides "kind"
-_SPEC_BOUNDS = {
-    "delta": _PARAM_BOUNDS["delta"],
-    "prediction_horizon": _PARAM_BOUNDS["prediction_horizon"],
-    "threshold": (_finite, "a finite number"),
-    # a forecast queue length: a negative one predicts exits before the
-    # transit time is up
-    "high_value": (lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
-    "model": (lambda x: isinstance(x, str), "a string"),
-}
+        check_settings(vars(self), "predictor_params.", ValidationError)
 
 
 @dataclass(frozen=True)
@@ -222,20 +182,14 @@ class Scenario:
 
 
 def _check_predictor_spec(spec, where: str):
-    """Check the keys ``build_predictor`` reads, where they are present."""
+    """Check the spec's kind, and each key that names a setting, against
+    the setting rules; a kind-only spec costs one lookup."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{where}: predictor must be an object like "
                               f'{{"kind": "linear"}}, got {spec!r}')
-    kind = spec.get("kind")
-    if kind not in PREDICTOR_KINDS:
-        raise ValidationError(f"{where}: predictor.kind must be one of "
-                              f"{', '.join(PREDICTOR_KINDS)}, got {kind!r}")
-    if len(spec) > 1:
-        for name, value in spec.items():
-            bound = _SPEC_BOUNDS.get(name)
-            if bound is not None and not bound[0](value):
-                raise ValidationError(f"{where}: predictor.{name} must be "
-                                      f"{bound[1]}, got {value!r}")
+    if len(spec) > 1 or spec.get("kind") not in PREDICTOR_KINDS:
+        check_settings({"kind": spec.get("kind"), **spec},
+                       f"{where}: predictor.", ValidationError)
 
 
 def block_inflow(rate: float, until: float) -> RightConstantFn:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +31,63 @@ from .pwl import (
 
 class PredictorModeError(Exception):
     """Raised when a predictor is used outside its supported mode."""
+
+
+# ------------------------------------------------------------------ settings
+
+
+PREDICTOR_KINDS = ("zero", "constant", "linear", "reg_linear", "threshold",
+                   "perfect", "regression")
+"""The kinds ``build_predictor`` builds."""
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and type(x) is not bool
+
+
+def _finite(x) -> bool:
+    return _real(x) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and type(x) is not bool
+
+
+_POSITIVE = (lambda x: _finite(x) and x > 0, "finite and > 0")
+_COUNT = (lambda x: _integer(x) and x >= 1, "an integer >= 1")
+
+SETTINGS = {
+    # setting: (test, the bound in words); a bool is not a number
+    "kind": (PREDICTOR_KINDS.__contains__,
+             f"one of {', '.join(PREDICTOR_KINDS)}"),
+    "delta": _POSITIVE,
+    "prediction_horizon": (lambda x: _real(x) and x > 0, "> 0"),
+    "threshold": (_finite, "a finite number"),
+    # a forecast queue length: a negative one predicts exits before the
+    # transit time is up
+    "high_value": (lambda x: _finite(x) and x >= 0, "a finite number >= 0"),
+    "model": (lambda x: isinstance(x, str), "a string"),
+    "lags": _COUNT,
+    "samples": _COUNT,
+    "sample_step": _POSITIVE,
+    "neighborhood_radius": (lambda x: _integer(x) and x >= 0,
+                            "an integer >= 0"),
+    "grid_step": _POSITIVE,
+}
+"""The rule of every predictor setting, wherever it enters: scenario specs
+and ``predictor_params``, model files, the constructors, ``build_predictor``
+and ``train_regression``."""
+
+
+def check_settings(settings, where: str = "", error=ValueError) -> None:
+    """Check each entry of the mapping ``settings`` that names a setting
+    against its rule in ``SETTINGS``; other entries pass unchecked.  The
+    first value that breaks its rule raises ``error`` with ``where``, the
+    name, the bound and the value."""
+    for name, value in settings.items():
+        rule = SETTINGS.get(name)
+        if rule is not None and not rule[0](value):
+            raise error(f"{where}{name} must be {rule[1]}, got {value!r}")
 
 
 class QueueHistory:
@@ -164,9 +222,8 @@ class LinearPredictor:
     kind = "linear"
 
     def __init__(self, prediction_horizon: float = math.inf):
-        if prediction_horizon <= 0:
-            raise ValueError("prediction horizon must be positive")
         self.prediction_horizon = prediction_horizon
+        check_settings(vars(self))
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         now = history.now
@@ -187,12 +244,9 @@ class RegularizedLinearPredictor:
     kind = "reg_linear"
 
     def __init__(self, delta: float = 1.0, prediction_horizon: float = math.inf):
-        if delta <= 0:
-            raise ValueError("difference step must be positive")
-        if prediction_horizon <= 0:
-            raise ValueError("prediction horizon must be positive")
         self.delta = delta
         self.prediction_horizon = prediction_horizon
+        check_settings(vars(self))
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         now = history.now
@@ -237,11 +291,9 @@ class ThresholdPredictor:
     kind = "threshold"
 
     def __init__(self, threshold: float = 1.0, high_value: float = 2.0):
-        if not (math.isfinite(high_value) and high_value >= 0):
-            raise ValueError("high_value is a queue length and must be "
-                             f"finite and >= 0, got {high_value!r}")
         self.threshold = threshold
         self.high_value = high_value
+        check_settings(vars(self))
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         q_now = history.queue(edge_id, history.now)
@@ -404,32 +456,23 @@ class RegressionModel:
             payload = json.load(fh)
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        for key, low in (("lags", 1), ("samples", 1),
-                         ("neighborhood_radius", 0)):
-            value = payload.get(key)
-            if not isinstance(value, int) or value < low:
-                raise ValueError(
-                    f"{path}: {key} must be an integer >= {low}, got {value!r}")
-        step = payload.get("sample_step")
-        if not (_finite_number(step) and step > 0):
-            raise ValueError(
-                f"{path}: sample_step must be finite and > 0, got {step!r}")
         if not isinstance(payload.get("coefficients"), dict):
             raise ValueError(f"{path}: coefficients must be an object")
         model = cls(
-            lags=payload["lags"],
-            samples=payload["samples"],
-            sample_step=payload["sample_step"],
-            neighborhood_radius=payload["neighborhood_radius"],
+            lags=payload.get("lags"),
+            samples=payload.get("samples"),
+            sample_step=payload.get("sample_step"),
+            neighborhood_radius=payload.get("neighborhood_radius"),
             coefficients={int(k): v for k, v in payload["coefficients"].items()},
             scores={int(k): v for k, v in payload.get("scores", {}).items()},
             seed=payload.get("seed", 0),
         )
+        check_settings(vars(model), f"{path}: ")
         width = 1 + (1 + model.neighborhood_radius) * model.lags
         for key, rows in model.coefficients.items():
             if not (isinstance(rows, list) and len(rows) == model.samples
                     and all(isinstance(row, list) and len(row) == width
-                            and all(_finite_number(x) for x in row)
+                            and all(_finite(x) for x in row)
                             for row in rows)):
                 raise ValueError(
                     f"{path}: coefficients of edge {key} must be {model.samples} "
@@ -456,10 +499,6 @@ def _feature_edges(edge, tail_in_edges, radius: int) -> list[int]:
     return [edge.id] + [x.id for x in tail_in_edges[:radius]]
 
 
-def _finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def _sample(fn, ts):
     """Exact piecewise-linear evaluation on a sorted time array."""
     import numpy as np
@@ -484,6 +523,7 @@ def train_regression(traces, lags: int = 10, samples: int = 10,
     by ridge-regularized least squares and records an R^2 per edge (or one
     shared score) on a fixed 10% holdout.
     """
+    check_settings(locals())   # every parameter that names a setting
     import numpy as np
 
     states = list(traces) if isinstance(traces, (list, tuple)) else [traces]
@@ -585,10 +625,6 @@ _SIMPLE = {
     "zero": ZeroPredictor,
     "constant": ConstantPredictor,
 }
-PREDICTOR_KINDS = (*_SIMPLE, "linear", "reg_linear", "threshold", "perfect",
-                   "regression")
-"""The kinds ``build_predictor`` builds; a scenario's specs are checked
-against them where the scenario is made."""
 
 
 def build_predictor(spec: dict, params, base_dir=None, final_state=None):
@@ -599,8 +635,7 @@ def build_predictor(spec: dict, params, base_dir=None, final_state=None):
     predictor for post-hoc evaluation.
     """
     kind = spec.get("kind")
-    if kind not in PREDICTOR_KINDS:
-        raise ValueError(f"unknown predictor kind: {kind!r}")
+    check_settings({"kind": kind, **spec}, "predictor.")
     if kind in _SIMPLE:
         return _SIMPLE[kind]()
     if kind == "linear":
@@ -617,9 +652,6 @@ def build_predictor(spec: dict, params, base_dir=None, final_state=None):
         return PerfectPredictor(final_state)
     if "model" in spec:   # the regression kind
         path = spec["model"]
-        if not isinstance(path, str):
-            raise ValueError(
-                f"predictor.model must be a string, got {path!r}")
         if base_dir is not None:
             import os
             path = os.path.join(base_dir, path)

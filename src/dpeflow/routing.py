@@ -130,40 +130,41 @@ class LabelSet:
         return label(t) if label is not None else math.inf
 
     def active_edges(self, node: str, t: float):
-        """Out-edges whose predicted arrival matches the node label at ``t``.
+        """Out-edges whose predicted arrival at ``t`` is within the
+        tolerance of the least such arrival, evaluated as they are; so a
+        node that can reach the sink always has one.  None at the sink.
 
         On shift labels t + dist(v) and shift exit times v0 + (t - t0) the
-        test is float arithmetic on the distances, as the label functions
-        would evaluate it; no label function is built.
+        arrivals are float arithmetic on the distances, as the label
+        functions would evaluate them; no label function is built.
         """
         self._check_time(t)
         labels, exit_fns = self.labels, self.exit_fns
-        tol = self.active_tolerance
-        active = []
-        if isinstance(labels, _ShiftLabels):
-            d = labels._distance(node)
-            if d is None:
-                return active
-            best = d + t
-            for e in self.network.out_edges[node]:
+        shift = type(labels) is _ShiftLabels
+        if node == self.sink or (labels._distance(node) if shift
+                                 else labels.get(node)) is None:
+            return []
+        arrivals, best = [], math.inf
+        for e in self.network.out_edges[node]:
+            if shift:
                 d_head = labels._distance(e.head)
                 if d_head is None:
                     continue
                 t0, v0 = exit_fns[e.id]
-                if d_head + (v0 + (t - t0)) <= best + tol:
-                    active.append(e)
-            return active
-        label = labels.get(node)
-        if label is None:
-            return active
-        best = label(t)
-        for e in self.network.out_edges[node]:
-            head = labels.get(e.head)
-            if head is None:
-                continue
-            f = exit_fns[e.id]
-            exit_time = f[1] + (t - f[0]) if type(f) is tuple else f(t)
-            if head(exit_time) <= best + tol:
+                a = d_head + (v0 + (t - t0))
+            else:
+                head = labels.get(e.head)
+                if head is None:
+                    continue
+                f = exit_fns[e.id]
+                a = head(f[1] + (t - f[0]) if type(f) is tuple else f(t))
+            if a < best:
+                best = a
+            arrivals.append((a, e))
+        cut = best + self.active_tolerance
+        active = []
+        for a, e in arrivals:
+            if a <= cut:
                 active.append(e)
         return active
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dpeflow.cli import main
+from dpeflow.predictors import RegressionModel
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -312,6 +313,24 @@ def test_train_writes_model(scenario_file, tmp_path):
     doc = json.loads(model_path.read_text())
     assert doc["format"] == "dpe-model/1"
     assert "-1" in doc["coefficients"]
+    assert RegressionModel.load(model_path).lags == doc["lags"]
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--lags", "0"], "lags must be an integer >= 1, got 0"),
+    (["--grid-step", "0"], "grid_step must be finite and > 0, got 0.0"),
+    (["--grid-step", "-1"], "grid_step must be finite and > 0, got -1.0"),
+], ids=["lags-0", "grid-step-0", "grid-step-negative"])
+def test_bad_train_option_is_an_input_error(scenario_file, tmp_path, capsys,
+                                            option, message):
+    # --lags 0 used to write a model that does not load; the grid steps
+    # ended in a ZeroDivisionError and an IndexError traceback
+    model_path = tmp_path / "out" / "model.json"
+    code = main(["train", "--scenario", str(scenario_file),
+                 "--out", str(model_path)] + option)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model_path.parent.exists()
 
 
 def test_demo_counterexample(tmp_path, capsys):

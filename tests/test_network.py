@@ -140,6 +140,7 @@ def test_scenario_rejects_bad_steps():
     ("delta", 0.0, "finite and > 0"),
     ("delta", math.inf, "finite and > 0"),
     ("delta", "x", "finite and > 0"),
+    ("delta", True, "finite and > 0"),
     ("prediction_horizon", 0, "> 0"),
     ("prediction_horizon", "x", "> 0"),
     ("samples", 0, "an integer >= 1"),
@@ -193,6 +194,10 @@ KINDS = "zero, constant, linear, reg_linear, threshold, perfect, regression"
      "predictor.model must be a string, got 5"),
     ({"kind": "threshold", "high_value": -3.0},
      "predictor.high_value must be a finite number >= 0, got -3.0"),
+    ({"kind": "reg_linear", "delta": True},
+     "predictor.delta must be finite and > 0, got True"),
+    ({"kind": "zero", "samples": 0},     # a setting, wherever it appears
+     "predictor.samples must be an integer >= 1, got 0"),
 ])
 def test_predictor_spec_checked_where_read(spec, message):
     doc = json.loads((DATA / "two_routes.scenario.json").read_text())

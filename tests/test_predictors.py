@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import inspect
 import json
 import math
 
@@ -16,6 +19,7 @@ from dpeflow.predictors import (
     RegressionModel,
     RegressionPredictor,
     RegularizedLinearPredictor,
+    SETTINGS,
     ThresholdPredictor,
     PredictedQueue,
     ZeroPredictor,
@@ -200,13 +204,38 @@ def test_threshold_high_value_is_a_queue_length():
     # a negative forecast queue would make exit times shorter than the
     # transit time, or rewind time; a direct library call is refused too
     for bad in (-3.0, -50, -1e-300, math.inf, math.nan):
-        with pytest.raises(ValueError, match="high_value is a queue length"):
+        message = f"high_value must be a finite number >= 0, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ThresholdPredictor(0.5, bad)
-        with pytest.raises(ValueError, match="high_value is a queue length"):
+        with pytest.raises(ValueError, match=f"^predictor.{message}$"):
             build_predictor({"kind": "threshold", "high_value": bad},
                             PredictorParams())
     at = history(pl([(0.0, 1.0)]), 0.0)
     assert ThresholdPredictor(0.5, 0.0).predict(at, 0)(5.0) == 0.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LinearPredictor(math.nan), "prediction_horizon must be > 0"),
+    (lambda: LinearPredictor(0.0), "prediction_horizon must be > 0"),
+    (lambda: RegularizedLinearPredictor(delta=math.inf),
+     "delta must be finite and > 0"),
+    (lambda: RegularizedLinearPredictor(delta=math.nan),
+     "delta must be finite and > 0"),
+    (lambda: RegularizedLinearPredictor(1.0, math.nan),
+     "prediction_horizon must be > 0"),
+    (lambda: ThresholdPredictor(threshold=math.nan),
+     "threshold must be a finite number"),
+    (lambda: ThresholdPredictor(threshold=-math.inf),
+     "threshold must be a finite number"),
+    (lambda: ThresholdPredictor(high_value=True),
+     "high_value must be a finite number >= 0"),
+], ids=["linear-nan", "linear-zero", "reg_linear-inf-delta",
+        "reg_linear-nan-delta", "reg_linear-nan-horizon", "threshold-nan",
+        "threshold-minus-inf", "threshold-bool-high-value"])
+def test_constructors_check_their_settings(make, message):
+    # the constructors obey the rules a scenario's specs obey
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        make()
 
 
 def test_perfect_predictor_requires_final_state():
@@ -477,6 +506,7 @@ def copy_model_file(tmp_path, **changes):
     {"-1": [[0.0, 1.0, 0.0, 0.0, "x"]] * 2},                 # not a number
     {"-1": [[0.0, 1.0, 0.0, 0.0, math.inf]] * 2},            # not finite
     {"3": "rows"},
+    {"-1": [[0.0, True, 0.0, 0.0, 0.0]] * 2},                # not a number
 ])
 def test_model_load_checks_coefficient_shapes(tmp_path, coefficients):
     # 2 samples, each 1 + (1 + 1) * 2 = 5 numbers wide
@@ -494,6 +524,10 @@ def test_model_load_checks_coefficient_shapes(tmp_path, coefficients):
     ("neighborhood_radius", 1.5, "neighborhood_radius must be an integer"),
     ("sample_step", -1.0, "sample_step must be finite and > 0, got -1.0"),
     ("coefficients", [], "coefficients must be an object"),
+    ("lags", True, "lags must be an integer >= 1, got True"),
+    ("sample_step", True, "sample_step must be finite and > 0, got True"),
+    ("neighborhood_radius", False,
+     "neighborhood_radius must be an integer >= 0, got False"),
 ])
 def test_model_load_checks_its_fields(tmp_path, field, value, message):
     path = copy_model_file(tmp_path, **{field: value})
@@ -508,6 +542,30 @@ def test_model_without_an_edge_or_shared_set_names_the_edge(tmp_path):
     assert model.coefficients_for(0)
     with pytest.raises(ValueError, match="no coefficients for edge 1 "):
         model.coefficients_for(1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lags", 0), ("lags", True), ("samples", 0), ("sample_step", math.inf),
+    ("neighborhood_radius", -1), ("grid_step", 0.0), ("grid_step", -1.0),
+    ("grid_step", math.nan)])
+def test_training_checks_its_settings(name, value):
+    # each of these used to train a model that does not load, or to end in
+    # a ZeroDivisionError or an IndexError
+    settings = dict(lags=2, samples=2, sample_step=1.0, neighborhood_radius=1)
+    settings[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got "):
+        train_regression(affine_flow(), **settings)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(lags=1, neighborhood_radius=0), dict(sample_step=0.5, shared=True),
+    dict(grid_step=0.25, seed=3)])
+def test_trained_models_load_back(tmp_path, settings):
+    model = train_regression(affine_flow(), **{
+        "lags": 2, "samples": 3, "sample_step": 1.0,
+        "neighborhood_radius": 1, **settings})
+    model.save(tmp_path / "model.json")
+    assert RegressionModel.load(tmp_path / "model.json") == model
 
 
 def test_training_needs_a_long_enough_trace():
@@ -534,7 +592,8 @@ def test_build_predictor_dispatch():
     r = build_predictor({"kind": "regression"}, params)
     assert isinstance(r, RegressionPredictor)
     assert r.model.samples == 4
-    with pytest.raises(ValueError, match="unknown predictor"):
+    with pytest.raises(ValueError, match="^predictor.kind must be one of "
+                                         "zero, .*, got 'nope'$"):
         build_predictor({"kind": "nope"}, params)
 
 
@@ -555,3 +614,50 @@ def test_build_predictor_rejects_a_model_that_is_no_path(base_dir):
                                          r"string, got 5$"):
         build_predictor({"kind": "regression", "model": 5},
                         PredictorParams(), base_dir=base_dir)
+
+
+# -------------------------------------------------------------------- settings
+
+
+def _spec_keys_read(fn):
+    """The string keys ``fn`` reads of its ``spec``: ``spec.get(k, ...)``,
+    ``spec[k]`` and ``k in spec``."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and getattr(node.func.value, "id", None) == "spec" \
+                and node.func.attr == "get":
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript) \
+                and getattr(node.value, "id", None) == "spec":
+            key = node.slice
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
+                and getattr(node.comparators[0], "id", None) == "spec":
+            key = node.left
+        else:
+            continue
+        keys.add(key.value)
+    return keys
+
+
+def test_every_setting_has_its_rule():
+    # stands in for a linter: a setting that enters anywhere has a rule in
+    # the one table, so a new one cannot skip its check
+    params = {f.name for f in dataclasses.fields(PredictorParams)}
+    spec_keys = _spec_keys_read(build_predictor)
+    model_fields = {f.name for f in dataclasses.fields(RegressionModel)
+                    if f.type in ("int", "float") and f.name != "seed"}
+    training = {p.name for p in
+                inspect.signature(train_regression).parameters.values()
+                if p.annotation in ("int", "float") and p.name != "seed"}
+    assert model_fields == {"lags", "samples", "sample_step",
+                            "neighborhood_radius"}
+    assert {"kind", "delta", "model"} <= spec_keys
+    assert "grid_step" in training
+    assert params | spec_keys | model_fields | training <= set(SETTINGS)
+
+
+@pytest.mark.parametrize("name", sorted(set(SETTINGS) - {"kind", "model"}))
+def test_a_bool_is_no_setting_value(name):
+    ok, _ = SETTINGS[name]
+    assert not ok(True) and not ok(False)

@@ -277,9 +277,10 @@ def test_active_edges_builds_only_the_labels_it_reads(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_shift_active_edges_evaluate_as_the_label_functions(seed):
     # on shift labels, active_edges decides as the label and exit functions
-    # would, to the last bit: with no tolerance, a route that ties with the
-    # node's label only up to rounding is active exactly when the functions
-    # say so
+    # would, to the last bit: each out-edge's arrival is compared with the
+    # least of them, so even with no tolerance a node that reaches the sink
+    # has an active edge (compared with the node's label instead, a route
+    # that ties only up to rounding left it none)
     rng = np.random.default_rng(seed)
     net, _, sink = random_instance(rng, int(rng.integers(6, 12)))
     now = round(float(rng.uniform(0.0, 50.0)), 2)
@@ -293,12 +294,13 @@ def test_shift_active_edges_evaluate_as_the_label_functions(seed):
         assert isinstance(ls.labels, _ShiftLabels)
         for v in net.nodes:
             for t in (now, now + 0.37, now + 12.5):
-                label = ls.labels.get(v)
-                want = [] if label is None else [
-                    e for e in net.out_edges[v] if e.head in ls.labels
-                    and ls.labels[e.head](functions[e.id](t))
-                    <= label(t) + tol]
+                arrivals = [(ls.labels[e.head](functions[e.id](t)), e)
+                            for e in net.out_edges[v] if e.head in ls.labels]
+                cut = min((a for a, _ in arrivals), default=0.0) + tol
+                want = [] if v == sink or v not in ls.labels else [
+                    e for a, e in arrivals if a <= cut]
                 assert ls.active_edges(v, t) == want
+                assert bool(want) == (v != sink and v in ls.labels)
 
 
 def eager_shift_distances(network, sink, costs):

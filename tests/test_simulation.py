@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PREDICTOR_CYCLE, metro_tntp_text
+from conftest import PREDICTOR_CYCLE, metro_tntp_text, random_scenario
 from dpeflow.network import (
     Commodity,
     Network,
@@ -505,6 +505,16 @@ def test_negative_threshold_high_value_is_refused():
     with pytest.raises(ValidationError, match="commodity 0: predictor."
                        "high_value must be a finite number >= 0, got -50"):
         dataclasses.replace(base, commodities=(c,))
+
+
+def test_seeded_scenarios_route_with_no_active_tolerance():
+    # a node that reaches its sink always has an active edge: at tolerance
+    # 0 these seeds used to strand flow where a route tied with the node's
+    # label only up to rounding
+    for seed in range(60):
+        scenario = dataclasses.replace(random_scenario(seed),
+                                       active_tolerance=0.0)
+        assert audit_dpe(run(scenario)) > 0
 
 
 def test_counterexample_scenario_shape():
