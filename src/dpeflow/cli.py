@@ -32,7 +32,7 @@ from .network import (
     random_commodities,
     save_scenario,
 )
-from .predictors import PredictorModeError, train_regression
+from .predictors import PredictorModeError, check_settings, train_regression
 from .routing import ConvergenceError
 from .simulation import (
     StrandedFlowError,
@@ -234,6 +234,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # checked before the simulation, which may take long
+    check_settings({"lags": args.lags, "grid_step": args.grid_step})
     scenario = _load(args)
     # training traces always come from the plain constant predictor
     comms = tuple(Commodity(c.id, c.source, c.sink, c.inflow,

@@ -20,7 +20,8 @@ first ``assign_inflow``, and a commodity's breakpoint lists on an edge on
 that commodity's first assignment to it; until then every reader answers
 with what a built, never-assigned edge or commodity gives (no inflow, no
 outflow, an empty queue up to the built horizon) and builds nothing.  So a
-run holds state only for the edges and commodities its flow reached.
+run holds state only for the edges and commodities its flow reached, and
+``queues_at`` reads the queues of those edges only (all others are +0.0).
 
 Advancing is sparse in edges and in commodities.  Only live edges are
 advanced, in edge-id order.  An edge goes dormant once a free-flow piece
@@ -111,6 +112,7 @@ class FlowOverTime:
         self.edges_advanced = 0
         # edge id -> its state, None until the edge's first assignment
         self._edges: list[_EdgeState | None] = [None] * len(network.edges)
+        self._made: list[int] = []          # sorted ids of edges with state
         self._live: list[int] = []          # sorted ids of live edges
         # sorted times of every outflow breakpoint recorded by _emit
         self._rate_changes: list[float] = []
@@ -141,6 +143,7 @@ class FlowOverTime:
                 raise IndexError(f"no commodity {commodity}")
             if es is None:
                 es = self._edges[edge] = _EdgeState(self.network.edges[edge])
+                insort(self._made, edge)
             times = es.in_times[commodity] = [0.0]
             es.in_rates[commodity] = [0.0]
             es.out_times[commodity] = [0.0]
@@ -330,6 +333,12 @@ class FlowOverTime:
     def queue_at(self, edge: int, t: float) -> float:
         es = self._edges[edge]
         return 0.0 if es is None else self._queue_value(es, t)
+
+    def queues_at(self, t: float) -> list[tuple[int, float]]:
+        """(edge id, ``queue_at(edge, t)``) of every edge with state, in
+        edge-id order; every other edge's queue is +0.0."""
+        edges, value = self._edges, self._queue_value
+        return [(eid, value(edges[eid], t)) for eid in self._made]
 
     def exit_time(self, edge: int, t: float) -> float:
         e = self.network.edges[edge]

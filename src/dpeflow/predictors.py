@@ -109,6 +109,12 @@ class QueueHistory:
                 f"queried queue at {t} past prediction time {self.now}")
         return self._state.queue_at(edge_id, max(t, 0.0))
 
+    def queues(self) -> list[tuple[int, float]]:
+        """(edge id, q(now)) of every edge the flow state holds, that is
+        every edge ever assigned an inflow, in edge-id order and read as
+        ``queue`` reads them; every other edge's queue is +0.0."""
+        return self._state.queues_at(max(self.now, 0.0))
+
     def left_slope(self, edge_id: int) -> float:
         """Left derivative of the queue at the prediction time; past the
         last recorded breakpoint, the slope of the last piece."""
@@ -192,23 +198,38 @@ def _extrapolate(now: float, q_now: float, dq: float,
 # --------------------------------------------------------------- predictors
 
 
-class ZeroPredictor:
-    """Predicts an empty queue everywhere."""
+class _FlatPredictor:
+    """A predictor whose forecast is flat at ``level(q(now))``.
 
-    kind = "zero"
-
-    def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
-        return PredictedQueue(edge_id, history.now, constant_fn(0.0))
-
-
-class ConstantPredictor:
-    """Freezes the current queue: the forecast is flat at q(now)."""
-
-    kind = "constant"
+    ``level`` is the whole rule: ``predict`` applies it to one edge, and
+    ``simulation.run`` applies it to the queues of the edges the flow
+    reached, building a round's exit table as numbers (every other edge's
+    queue is +0.0).
+    """
 
     def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
         q_now = history.queue(edge_id, history.now)
-        return PredictedQueue(edge_id, history.now, constant_fn(q_now))
+        return PredictedQueue(edge_id, history.now,
+                              constant_fn(self.level(q_now)))
+
+
+class ZeroPredictor(_FlatPredictor):
+    """Predicts an empty queue everywhere: free flow."""
+
+    kind = "zero"
+
+    def level(self, q_now: float) -> float:
+        return 0.0
+
+
+class ConstantPredictor(_FlatPredictor):
+    """Freezes the current queue: the forecast is flat at q(now), the
+    instantaneous information of the paper."""
+
+    kind = "constant"
+
+    def level(self, q_now: float) -> float:
+        return q_now
 
 
 class LinearPredictor:
@@ -280,12 +301,14 @@ class PerfectPredictor:
         return PredictedQueue(edge_id, history.now, fn)
 
 
-class ThresholdPredictor:
-    """Toy discontinuous predictor: small queues stay, large ones jump to 2.
+class ThresholdPredictor(_FlatPredictor):
+    """Toy discontinuous predictor: small queues stay, large ones jump.
 
-    Forecasts q(now) while q(now) < 1 and the constant 2 otherwise.  Its jump
-    at q = 1 lets routing decisions flip back and forth forever, which is why
-    continuity of the predictor matters for equilibrium existence.
+    Forecasts a flat q(now) while q(now) < ``threshold`` (1 by default) and
+    a flat ``high_value`` (2) otherwise; at a threshold <= 0 even an empty
+    queue is forecast at ``high_value``.  Its jump at the threshold lets
+    routing decisions flip back and forth forever, which is why continuity
+    of the predictor matters for equilibrium existence.
     """
 
     kind = "threshold"
@@ -295,10 +318,8 @@ class ThresholdPredictor:
         self.high_value = high_value
         check_settings(vars(self))
 
-    def predict(self, history: QueueHistory, edge_id: int) -> PredictedQueue:
-        q_now = history.queue(edge_id, history.now)
-        value = q_now if q_now < self.threshold else self.high_value
-        return PredictedQueue(edge_id, history.now, constant_fn(value))
+    def level(self, q_now: float) -> float:
+        return q_now if q_now < self.threshold else self.high_value
 
 
 class RegressionPredictor:

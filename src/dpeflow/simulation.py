@@ -17,15 +17,23 @@ Sub-phase boundaries never overrun the shortest transit time, so every rate
 change that could affect a decision is already materialized when it is
 needed; no discretization error enters below the round level.
 
-Forecasts are made for every edge in each round that needs labels.  A
-forecast that is flat with one breakpoint (t0, q0), as every forecast of
+A forecast that is flat with one breakpoint (t0, q0), as every forecast of
 an edge that stays empty is (the shared zero ``constant_fn(0.0)``), is a
 shift: its exit time is t + c_e.  It enters the exit table as the pair
 (t0, t0 + transit time + q0 / capacity), and routing reads it as numbers;
-only the other forecasts are built into exit-time functions.  So an idle
-edge costs a forecast call and a pair per round.  Skipping the forecasts of
-idle edges as well would need ``perfbench/test_trace.py`` changed, which
-expects the number of forecasts to be a multiple of the edge count.
+only the other forecasts are built into exit-time functions.
+
+The flat predictors (zero, constant, threshold) forecast as numbers, with
+no forecast call.  Their forecast of an edge is flat at ``level(q(now))``,
+so a round's exit table depends only on the queues at the round start.
+Every edge without flow state has queue +0.0, so ``run`` builds the table
+of every edge empty once per run, with its shifts c_e; each round that
+needs labels copies both and overwrites the edges that have flow state,
+whose queues ``QueueHistory.queues`` reads.  So per round an idle edge
+costs only its share of copying the two tables.  The piecewise predictors
+make one forecast per edge in each round that needs labels.  ``audit_dpe``
+forecasts every edge under every predictor, so it is the independent check
+of the flat tables.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .network import Commodity, Network, Scenario, block_inflow
 from .predictors import (
     PredictorModeError,
     QueueHistory,
+    _FlatPredictor,
     build_predictor,
     exit_time_fn,
 )
@@ -117,6 +126,12 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                   for c in comms]
     # forecasts are shared per predictor spec, labels per (spec, sink)
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
+    # spec key -> the exit table and shifts of a flat predictor's forecasts
+    # when every queue is empty
+    idle_tables: dict[str, tuple[dict, dict]] = {}
+    for p, key in zip(predictors, spec_keys):
+        if isinstance(p, _FlatPredictor) and key not in idle_tables:
+            idle_tables[key] = _flat_idle(p.level, net)
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -154,9 +169,16 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             if ls is None:
                 tables = exit_cache.get(spec_key)
                 if tables is None:
-                    exit_fns, built = _exit_fns(predictors[i], history, net)
-                    exit_built += built
-                    tables = exit_cache[spec_key] = (exit_fns, {})
+                    idle = idle_tables.get(spec_key)
+                    if idle is not None:
+                        tables = _flat_tables(predictors[i].level, history,
+                                              net, idle)
+                    else:
+                        exit_fns, built = _exit_fns(predictors[i], history,
+                                                    net)
+                        exit_built += built
+                        tables = (exit_fns, {})
+                    exit_cache[spec_key] = tables
                 ls = compute_labels(net, sink, tables[0],
                                     scenario.active_tolerance,
                                     start=round_start, restricted=tables[1])
@@ -265,6 +287,45 @@ def _exit_fns(predictor, history, net):
     return exit_fns, built
 
 
+def _flat_idle(level, net):
+    """A flat predictor's exit table when every queue is empty, and its
+    shifts: ``_flat_tables`` with no edge reached."""
+    x = _flat_level(level, 0.0)
+    pairs = {e.id: (0.0, 0.0 + e.transit_time + x / e.capacity)
+             for e in net.edges}
+    return pairs, {eid: v0 - t0 for eid, (t0, v0) in pairs.items()}
+
+
+def _flat_tables(level, history, net, idle):
+    """The exit table of a flat predictor at the history's time, and the
+    shifts c_e that its labels read, the ``restricted`` of
+    ``routing.compute_labels``.
+
+    The forecast of an edge with queue q(now) is ``constant_fn(level(q))``,
+    whose one breakpoint lies at 0; so its pair is (0.0, 0.0 + transit time
+    + level(q) / capacity) and its shift that value minus 0.0, as
+    ``_exit_fns`` and ``routing`` make them, bit for bit.  A level is a
+    queue length, so c_e is at least the transit time and the table is
+    shift-only.  The edges with flow state overwrite copies of ``idle``,
+    the tables of ``_flat_idle``; no other edge is visited.
+    """
+    pairs, shifts = idle[0].copy(), idle[1].copy()
+    edges = net.edges
+    for eid, q in history.queues():
+        e = edges[eid]
+        v0 = 0.0 + e.transit_time + _flat_level(level, q) / e.capacity
+        pairs[eid] = (0.0, v0)
+        shifts[eid] = v0 - 0.0
+    return pairs, shifts
+
+
+def _flat_level(level, q):
+    x = level(q)
+    if not math.isfinite(x):   # as constant_fn refuses it
+        raise ValueError(f"flat forecast must be finite, got {x!r}")
+    return x
+
+
 def _node_inflows(state, net, commodity, i, t):
     """Per-node inflow rates of one commodity at time ``t``; its inflow
     profile is 0 before its first time."""
@@ -321,10 +382,11 @@ def audit_dpe(result: RunResult) -> int:
 
     Predictors only read queues up to the prediction time, so rebuilding the
     forecast from the final state must reproduce the live decision exactly.
-    The replay uses its own predictors and whole-line labels, shared per
-    (spec, sink) and round as in ``run``.  Returns the number of verified
-    queries; raises on any mismatch, and on a run made with
-    ``record_rounds=False``, which has no decisions to replay.
+    The replay uses its own predictors, one forecast per edge under every
+    predictor (so it checks ``run``'s flat tables too), and whole-line
+    labels, shared per (spec, sink) and round as in ``run``.  Returns the
+    number of verified queries; raises on any mismatch, and on a run made
+    with ``record_rounds=False``, which has no decisions to replay.
     """
     _check_recorded(result)
     scenario = result.scenario

@@ -261,9 +261,11 @@ def test_c10b_metropolitan_scale(tmp_path):
                               predictor_spec={"kind": "constant"})
         scenario = Scenario(network=net, commodities=(commodity,),
                             prediction_step=1.0, horizon=60.0)
-        result = run(scenario, record_rounds=False)
+        result = run(scenario)
         elapsed = time.monotonic() - t0
         assert elapsed < 600.0
         report = compute_metrics(result)
         assert report.rows[0].outflow_mass > 0
         result.state.audit_flow(tol=1e-6)
+        # the run's flat exit tables against the audit's per-edge forecasts
+        assert audit_dpe(result) == 409

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dpeflow import cli
 from dpeflow.cli import main
 from dpeflow.predictors import RegressionModel
 
@@ -322,9 +323,14 @@ def test_train_writes_model(scenario_file, tmp_path):
     (["--grid-step", "-1"], "grid_step must be finite and > 0, got -1.0"),
 ], ids=["lags-0", "grid-step-0", "grid-step-negative"])
 def test_bad_train_option_is_an_input_error(scenario_file, tmp_path, capsys,
-                                            option, message):
+                                            monkeypatch, option, message):
     # --lags 0 used to write a model that does not load; the grid steps
-    # ended in a ZeroDivisionError and an IndexError traceback
+    # ended in a ZeroDivisionError and an IndexError traceback.  The options
+    # are checked before any simulation runs.
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the options")
+
+    monkeypatch.setattr(cli, "run", no_run)
     model_path = tmp_path / "out" / "model.json"
     code = main(["train", "--scenario", str(scenario_file),
                  "--out", str(model_path)] + option)

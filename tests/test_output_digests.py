@@ -1,9 +1,11 @@
 """Bit-for-bit digests of run outputs: the 20 two-route sweep cells, the
-C1 scenarios of seeds 0-9 and two Sioux Falls runs.  The Sioux Falls runs
-are cut from the benchmark's workloads: 12 commodities cycling the five
-predictors to horizon 20 (mixed exit tables, many of whose edges are
-shifts) and 48 zero-predictor commodities to horizon 8 (shift-only tables
-shared between sinks).
+C1 scenarios of seeds 0-9, two Sioux Falls runs and the C10b run.  The
+Sioux Falls runs are cut from the benchmark's workloads: 12 commodities
+cycling the five predictors to horizon 20 (mixed exit tables, many of whose
+edges are shifts) and 48 zero-predictor commodities to horizon 8 (shift-only
+tables shared between sinks).  C10b is the constant-predictor run of the
+3538-node / 4803-edge network, whose exit tables are flat forecasts of a few
+queued edges among thousands of empty ones.
 
 A digest is the SHA-256 of one run's outputs written out with every float
 as ``float.hex``: the per-commodity metrics, the event log in order, every
@@ -19,15 +21,22 @@ the digests of the working tree with
 import functools
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import PREDICTOR_CYCLE, random_scenario  # noqa: E402
+from conftest import (  # noqa: E402
+    PREDICTOR_CYCLE,
+    metro_tntp_text,
+    random_scenario,
+)
 from dpeflow.network import (  # noqa: E402
+    Commodity,
     Scenario,
+    block_inflow,
     import_tntp,
     load_scenario,
     random_commodities,
@@ -58,6 +67,14 @@ def cases():
                                    predictor_kinds=kinds)
         out[name] = Scenario(network=sioux, commodities=comms,
                              prediction_step=1.0, horizon=horizon)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metro.tntp"
+        path.write_text(metro_tntp_text())
+        metro = import_tntp(path)
+    out["c10b"] = Scenario(   # as in test_acceptance's C10b
+        network=metro, prediction_step=1.0, horizon=60.0,
+        commodities=(Commodity(0, 1, 16, block_inflow(4.0, 20.0),
+                               {"kind": "constant"}),))
     return out
 
 
@@ -133,6 +150,7 @@ DIGESTS = {
     'c1 seed 9': '4cde36a51d0c1a5637a12209e419c8d5b1bf4aa9dff061d5f2c560f78c73824d',
     'sioux mixed': '5bebb863c35a38a82f23c13cd2ac5d05f9042133fb2e7ffac555add960520ba2',
     'sioux zero': 'cec099eca88ff7e60d382a598320be9d9e7f3ee9f126e69b45977fc74d4ab021',
+    'c10b': '623e91e71f1ec7a2d1f39cc210198cc33a647422b8b3ddc2b6df7a4841d384ac',
 }
 
 

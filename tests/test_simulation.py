@@ -1,9 +1,12 @@
 import dataclasses
+import math
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import PREDICTOR_CYCLE, metro_tntp_text, random_scenario
 from dpeflow.network import (
@@ -19,10 +22,12 @@ from dpeflow.network import (
 from dpeflow import routing, simulation
 from dpeflow.flow_state import FlowOverTime
 from dpeflow.predictors import (
+    ConstantPredictor,
     LinearPredictor,
     PredictedQueue,
     PredictorModeError,
     QueueHistory,
+    ThresholdPredictor,
     ZeroPredictor,
 )
 from dpeflow.pwl import PiecewiseLinearFn, RightConstantFn, constant_fn
@@ -212,16 +217,21 @@ def test_linear_forecasts_read_the_queue_function_slope(monkeypatch):
     assert min(seen) < 0.0 < max(seen)
 
 
-def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
-                                                       monkeypatch):
-    # C10b's network with one constant-predictor commodity: a few busy edges
+def metro_constant_scenario(tmp_path):
+    """C10b's network with one constant-predictor commodity: a few busy
+    edges among 4803."""
     path = tmp_path / "metro.tntp"
     path.write_text(metro_tntp_text())
-    net = import_tntp(path)
-    scenario = Scenario(
-        network=net, prediction_step=1.0, horizon=8.0,
+    return Scenario(
+        network=import_tntp(path), prediction_step=1.0, horizon=8.0,
         commodities=(Commodity(0, 1, 5, block_inflow(4.0, 4.0),
                                {"kind": "constant"}),))
+
+
+def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
+                                                       monkeypatch):
+    scenario = metro_constant_scenario(tmp_path)
+    net = scenario.network
     assigned = set()
     assign = FlowOverTime.assign_inflow
 
@@ -254,6 +264,129 @@ def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
     # each label set settled only the nodes its lookups reached
     settled = sum(len(ls.labels._settled) for ls in label_sets)
     assert 0 < settled < 0.5 * len(label_sets) * len(net.nodes)
+
+
+def test_flat_run_forecasts_no_edge_and_its_audit_every_edge(tmp_path,
+                                                            monkeypatch):
+    # the run builds its constant-predictor tables from the queues of the
+    # edges with state, read at the round start; the audit, their oracle,
+    # forecasts every edge of every round it replays
+    scenario = metro_constant_scenario(tmp_path)
+    net = scenario.network
+    forecasts = []
+    predict = ConstantPredictor.predict
+
+    def spy_predict(self, history, edge_id):
+        forecasts.append((history.now, edge_id))
+        return predict(self, history, edge_id)
+
+    nows, reads = [], []
+    make_history = QueueHistory.__init__
+
+    def spy_history(self, state, now):
+        nows.append(now)
+        make_history(self, state, now)
+
+    queue_value = FlowOverTime._queue_value
+
+    def spy_queue(self, es, t):
+        assert t <= nows[-1], f"queue read at {t} after the round start"
+        reads.append(t)
+        return queue_value(self, es, t)
+
+    monkeypatch.setattr(ConstantPredictor, "predict", spy_predict)
+    monkeypatch.setattr(QueueHistory, "__init__", spy_history)
+    monkeypatch.setattr(FlowOverTime, "_queue_value", spy_queue)
+    result = run(scenario)
+    assert forecasts == []
+    assert nows == [r.time for r in result.rounds] and reads
+    assert audit_dpe(result) == sum(len(r.active_queries)
+                                    for r in result.rounds) > 0
+    assert all(r.active_queries for r in result.rounds)
+    assert forecasts == [(r.time, e.id) for r in result.rounds
+                         for e in net.edges]
+
+
+def hexed(table):
+    """An exit table or its shifts as (edge id, entry) items, floats as hex."""
+    return [(eid, tuple(x.hex() for x in f) if type(f) is tuple else f.hex())
+            for eid, f in table.items()]
+
+
+FLAT_PREDICTORS = (ZeroPredictor(), ConstantPredictor(), ThresholdPredictor(),
+                   ThresholdPredictor(0.5, 0.0), ThresholdPredictor(0.0, 3.0),
+                   ThresholdPredictor(-1.0, 0.25))
+
+
+# on five edges, per half-unit round (commodity, edge, rate) assignments to
+# edges 0-3 (edge 4 is never reached); a rate holds until re-assigned, so a
+# 0 lets an edge drain and sleep, and a free-flow edge sleeps at its rate
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3),
+                                   st.sampled_from((0.0, 0.5, 1.5, 3.0))),
+                         max_size=3), min_size=1, max_size=6),
+       st.one_of(st.just(0.0), st.floats(-1.0, 5.0)),
+       st.sampled_from(range(len(FLAT_PREDICTORS))),
+       st.booleans())
+# edge 0 queues to 1 by 0.5, drains by 1.5 and then sleeps; edge 1 sleeps
+# at free flow from the start; edges 2-4 are never reached
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.0, 4, True)
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.75, 1, False)
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 2.5, 2, True)
+def test_flat_tables_equal_the_per_edge_forecasts(rounds, now, which,
+                                                  negative_zeros):
+    net = Network(["a", "b", "c", "d"],
+                  [("a", "b", 1.0, 1.0), ("b", "c", 0.5, 2.0),
+                   ("a", "c", 2.0, 1.0), ("c", "d", 1.5, 1.0),
+                   ("b", "d", 1.0, 1.0)])
+    state = FlowOverTime(net, 2)
+    for k, assigned in enumerate(rounds + [[]] * 3):
+        for i, e, rate in assigned:
+            state.assign_inflow(i, e, rate)
+        state.advance(0.5 * (k + 1))
+    if negative_zeros:   # every empty stretch of a queue reads -0.0
+        for es in state._edges:
+            if es is not None:
+                es.q_values[:] = [-0.0 if q == 0.0 else q
+                                  for q in es.q_values]
+    history = QueueHistory(state, now)
+    made = [eid for eid, es in enumerate(state._edges) if es is not None]
+    assert [eid for eid, _ in history.queues()] == made
+    queues = dict(history.queues())
+    for e in net.edges:
+        assert queues.get(e.id, 0.0).hex() == history.queue(e.id, now).hex()
+
+    predictor = FLAT_PREDICTORS[which]
+    idle = simulation._flat_idle(predictor.level, net)
+    pairs, shifts = simulation._flat_tables(predictor.level, history, net,
+                                            idle)
+    want, built = simulation._exit_fns(predictor, history, net)
+    assert built == 0
+    assert hexed(pairs) == hexed(want)
+    assert hexed(shifts) == hexed(routing._table_read(want, max(now, 0.0)))
+    # the idle tables are copied, not changed
+    assert idle == simulation._flat_idle(predictor.level, net)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_flat_forecast_is_refused(bad):
+    class Bad(ConstantPredictor):
+        def level(self, q_now):
+            return bad if q_now > 0.0 else q_now
+
+    net = Network(["a", "b"], [("a", "b", 1.0, 1.0), ("b", "a", 1.0, 1.0)])
+    state = FlowOverTime(net, 1)
+    state.assign_inflow(0, 0, 2.0)
+    state.advance(1.0)
+    history = QueueHistory(state, 1.0)
+    level = Bad().level
+    with pytest.raises(ValueError):
+        Bad().predict(history, 0)   # constant_fn refuses it
+    idle = simulation._flat_idle(level, net)
+    with pytest.raises(ValueError, match="finite"):
+        simulation._flat_tables(level, history, net, idle)
+    with pytest.raises(ValueError, match="finite"):
+        simulation._flat_idle(lambda q_now: bad, net)
 
 
 def test_debug_log_reports_rounds_and_edges_advanced(caplog):
