@@ -82,10 +82,8 @@ class Network:
             inc[e.head].append(e)
         self.out_edges = {v: tuple(es) for v, es in out.items()}
         self.in_edges = {v: tuple(es) for v, es in inc.items()}
-
-    @property
-    def min_transit_time(self) -> float:
-        return min((e.transit_time for e in self.edges), default=math.inf)
+        self.min_transit_time = min(
+            (e.transit_time for e in self.edges), default=math.inf)
 
     def reachable_from(self, source: NodeId) -> set[NodeId]:
         seen = {source}

@@ -14,12 +14,15 @@ t0, and is read as v0 + (t - t0), as the PL function through (t0, v0) with
 slope 1 would compute it.  When every entry is a shift with c_e = v0 - t0
 > 0, every label is t + dist(v), where dist is the static shortest-path
 distance to the sink on the costs c_e, and a Dijkstra from the sink gives
-the labels.  The search runs only as far as the lookups reach: a round asks
-``active_edges`` at a few nodes, each reading its own distance and its
-heads', and a lookup resumes the search until its node is settled, so nodes
-farther from the sink than every queried one stay unsettled.
-``active_edges`` compares the distances and shifts as floats; a node's
-label function is built only when ``labels`` is read, and kept.
+the labels.  The search settles only what the decisions need:
+``active_edges`` at v compares the arrivals d(w) + x_e over v's out-edges
+e = (v, w), x_e = v0 + (t - t0), as floats, and resumes the search only
+while some unsettled head could still arrive within the tolerance of the
+least arrival so far (the heap's least key bounds every unsettled
+distance from below).  So a far head that loses stays unsettled, and the
+answer is that of a search run to the end, bit for bit.  A lookup in
+``labels`` resumes the search until its node is settled; a node's label
+function is built only when ``labels`` is read, and kept.
 ``simulation.audit_ide`` keeps its own Bellman-Ford as the independent
 check of the Dijkstra labels.
 
@@ -136,37 +139,45 @@ class LabelSet:
 
         On shift labels t + dist(v) and shift exit times v0 + (t - t0) the
         arrivals are float arithmetic on the distances, as the label
-        functions would evaluate them; no label function is built.
+        functions would evaluate them; no label function is built, and the
+        search settles only the heads that could be active (see
+        ``_ShiftLabels.active``).
         """
         self._check_time(t)
-        labels, exit_fns = self.labels, self.exit_fns
-        shift = type(labels) is _ShiftLabels
-        if node == self.sink or (labels._distance(node) if shift
-                                 else labels.get(node)) is None:
+        if node == self.sink:
             return []
+        labels, exit_fns = self.labels, self.exit_fns
+        out_edges = self.network.out_edges[node]
+        if type(labels) is _ShiftLabels:
+            return labels.active(out_edges, exit_fns, t, self.active_tolerance)
         arrivals, best = [], math.inf
-        for e in self.network.out_edges[node]:
-            if shift:
-                d_head = labels._distance(e.head)
-                if d_head is None:
-                    continue
-                t0, v0 = exit_fns[e.id]
-                a = d_head + (v0 + (t - t0))
-            else:
-                head = labels.get(e.head)
-                if head is None:
-                    continue
+        for e in out_edges:
+            head = labels.get(e.head)
+            if head is not None:
                 f = exit_fns[e.id]
                 a = head(f[1] + (t - f[0]) if type(f) is tuple else f(t))
-            if a < best:
-                best = a
-            arrivals.append((a, e))
+                if a < best:
+                    best = a
+                arrivals.append((a, e))
         cut = best + self.active_tolerance
-        active = []
-        for a, e in arrivals:
-            if a <= cut:
-                active.append(e)
-        return active
+        return [e for a, e in arrivals if a <= cut]
+
+
+class LazyTable(dict):
+    """An exit table, or the c_e of a shift-only one, whose missing entry
+    is made by ``make(edge id)`` on its first read and kept.  As the
+    ``restricted`` of ``compute_labels`` it holds c_e and is never
+    scanned."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, eid):
+        entry = self[eid] = self.make(eid)
+        return entry
 
 
 def compute_labels(network: Network, sink: str, exit_fns: dict,
@@ -179,13 +190,16 @@ def compute_labels(network: Network, sink: str, exit_fns: dict,
 
     An exit table maps an edge id to a ``PiecewiseLinearFn`` or to a shift,
     the pair (t0, v0) of the exit time t -> v0 + (t - t0).  A Dijkstra, run
-    as far as lookups reach, when every entry is a shift with
+    only as far as the queries need, when every entry is a shift with
     c_e = v0 - t0 > 0, backward label correction on the exit times
     restricted to [start, inf) otherwise (see the module docstring for why
     that suffices).  ``restricted`` is a dict shared by the calls on one
     exit table and one ``start``: the first call fills it with what the
     labels read, the c_e (floats) of a shift-only table or else the table
-    cut at ``start``, and the later ones reuse it.
+    cut at ``start``, and the later ones reuse it.  A ``LazyTable`` of c_e,
+    such as the table ``simulation.run`` keeps for a flat predictor over a
+    run, makes its entries as they are read and is never scanned, so it is
+    neither filled nor inspected here.
     """
     if sink not in network.out_edges:
         raise ValueError(f"unknown sink: {sink!r}")
@@ -193,9 +207,13 @@ def compute_labels(network: Network, sink: str, exit_fns: dict,
         raise ValueError(f"label start must be finite or -inf, got {start!r}")
     if restricted is None:
         restricted = {}
-    if not restricted:
-        restricted.update(_table_read(exit_fns, start))
-    if isinstance(next(iter(restricted.values()), 0.0), float):
+    if type(restricted) is LazyTable:
+        shift_only = True
+    else:
+        if not restricted:
+            restricted.update(_table_read(exit_fns, start))
+        shift_only = isinstance(next(iter(restricted.values()), 0.0), float)
+    if shift_only:
         table = exit_fns
         labels = _ShiftLabels(network.in_edges, sink, restricted)
     else:
@@ -237,11 +255,13 @@ class _ShiftLabels(Mapping):
     The distances come from a Dijkstra over in-edges from the sink, which
     keeps its heap between lookups.  A lookup of a node not yet settled
     resumes the search until that node is popped, or until the heap runs
-    dry when the node cannot reach the sink.  The pops follow the order of
-    a search run to the end whatever the order of the lookups, so every
-    distance is that search's, bit for bit.  ``in`` settles as far as its
-    node; ``len`` and iteration finish the search.  A node's label is built
-    on its first lookup and kept; at the sink it is ``identity_fn()``.
+    dry when the node cannot reach the sink; an ``active`` query resumes it
+    only while one of its heads could still be active.  The pops follow
+    the order of a search run to the end whatever the order of the lookups
+    and queries, so every distance is that search's, bit for bit.  ``in``
+    settles as far as its node; ``len`` and iteration finish the search.
+    A node's label is built on its first lookup and kept; at the sink it
+    is ``identity_fn()``.
     """
 
     __slots__ = ("_in_edges", "_shifts", "_dist", "_settled", "_heap",
@@ -257,12 +277,24 @@ class _ShiftLabels(Mapping):
         self._heap = [(0.0, next(self._tie), sink)]
         self._built: dict[str, PiecewiseLinearFn] = {}
 
-    def _search(self, target=None):
-        """Resume the search until ``target`` is settled and return its
-        distance, or run it to the end and return None."""
+    def _search(self, waiting=(), lead=-math.inf, tol=math.inf,
+                best=math.inf):
+        """Resume the search while the heap's least key k has
+        k + lead <= cut, and return the least of ``best`` and d(w) + x_w
+        over the nodes w of ``waiting`` (unsettled node -> x_w >= lead)
+        that it settles; cut is ``tol`` above that least sum so far.
+
+        Every unsettled node's distance is at least k (a stale key on top
+        is still a lower bound) and float addition is monotone, so once
+        k + lead > cut no unsettled waiting node w has d(w) + x_w <= cut.
+        The search also stops once every waiting node is settled; with no
+        arguments it runs to the end.
+        """
         heap, dist, settled = self._heap, self._dist, self._settled
         in_edges, shifts, tie = self._in_edges, self._shifts, self._tie
-        while heap:
+        left = len(waiting)
+        cut = best + tol
+        while heap and heap[0][0] + lead <= cut:
             d, _, w = heapq.heappop(heap)
             if d > dist[w]:
                 continue
@@ -272,15 +304,61 @@ class _ShiftLabels(Mapping):
                 if nd < dist.get(e.tail, math.inf):
                     dist[e.tail] = nd
                     heapq.heappush(heap, (nd, next(tie), e.tail))
-            if w == target:
-                return d
-        return None
+            if w in waiting:
+                a = d + waiting[w]
+                if a < best:
+                    best = a
+                    cut = best + tol
+                left -= 1
+                if not left:
+                    break
+        return best
 
     def _distance(self, v):
         d = self._settled.get(v)
-        if d is None and self._heap:
-            d = self._search(v)
+        if d is None:
+            self._search({v: 0.0})
+            d = self._settled.get(v)
         return d
+
+    def active(self, out_edges, exit_fns, t, tol):
+        """The out-edges e = (v, w) of one node, in order, whose arrival
+        d(w) + x_e is within ``tol`` >= 0 of the least, x_e = v0 + (t - t0)
+        being e's exit time at ``t``.
+
+        Unsettled heads are settled only while one could still be active
+        (see ``_search``), so a skipped edge arrives after the cut: it is
+        neither active nor the least.  The lead, the least x_e of the
+        unsettled heads, is not raised as they settle: a lower lead only
+        loosens the bound, and once its own head is settled at d, the
+        search stops once keys pass about d + tol.
+        """
+        settled = self._settled
+        rows = []
+        best = lead = math.inf
+        waiting = {}    # unsettled head -> least x_e of its edges
+        for e in out_edges:
+            t0, v0 = exit_fns[e.id]
+            x = v0 + (t - t0)
+            rows.append((x, e))
+            w = e.head
+            d = settled.get(w)
+            if d is None:
+                if x < waiting.get(w, math.inf):
+                    waiting[w] = x
+                    if x < lead:
+                        lead = x
+            elif d + x < best:
+                best = d + x
+        if waiting:
+            best = self._search(waiting, lead, tol, best)
+        cut = best + tol
+        active = []
+        for x, e in rows:
+            d = settled.get(e.head)
+            if d is not None and d + x <= cut:
+                active.append(e)
+        return active
 
     def get(self, v, default=None):
         # overridden: Mapping.get goes through __getitem__ and KeyError

@@ -26,14 +26,15 @@ only the other forecasts are built into exit-time functions.
 The flat predictors (zero, constant, threshold) forecast as numbers, with
 no forecast call.  Their forecast of an edge is flat at ``level(q(now))``,
 so a round's exit table depends only on the queues at the round start.
-Every edge without flow state has queue +0.0, so ``run`` builds the table
-of every edge empty once per run, with its shifts c_e; each round that
-needs labels copies both and overwrites the edges that have flow state,
-whose queues ``QueueHistory.queues`` reads.  So per round an idle edge
-costs only its share of copying the two tables.  The piecewise predictors
-make one forecast per edge in each round that needs labels.  ``audit_dpe``
-forecasts every edge under every predictor, so it is the independent check
-of the flat tables.
+Every edge without flow state has queue +0.0, so ``run`` keeps one table
+and its shifts c_e per flat predictor spec for the whole run: an edge's
+entries for an empty queue are made on their first read and kept, and
+each round that needs labels overwrites in place the edges that have flow
+state, whose queues ``QueueHistory.queues`` reads.  So a round makes no
+pass over the whole network, and an idle edge that no query reads costs
+nothing.  The piecewise predictors make one forecast per edge in each
+round that needs labels.  ``audit_dpe`` forecasts every edge under every
+predictor, so it is the independent check of the flat tables.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .predictors import (
     exit_time_fn,
 )
 from .pwl import EPS, linear_combination
-from .routing import LabelSet, compute_labels
+from .routing import LabelSet, LazyTable, _ShiftLabels, compute_labels
 
 log = logging.getLogger(__name__)
 
@@ -126,12 +127,11 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
                   for c in comms]
     # forecasts are shared per predictor spec, labels per (spec, sink)
     spec_keys = [json.dumps(c.predictor_spec, sort_keys=True) for c in comms]
-    # spec key -> the exit table and shifts of a flat predictor's forecasts
-    # when every queue is empty
-    idle_tables: dict[str, tuple[dict, dict]] = {}
+    # spec key -> a flat predictor's exit table and shifts, one per run
+    flat_tables: dict[str, tuple[LazyTable, LazyTable]] = {}
     for p, key in zip(predictors, spec_keys):
-        if isinstance(p, _FlatPredictor) and key not in idle_tables:
-            idle_tables[key] = _flat_idle(p.level, net)
+        if isinstance(p, _FlatPredictor) and key not in flat_tables:
+            flat_tables[key] = _flat_table(p.level, net)
 
     state = FlowOverTime(net, len(comms))
     events: list[SimEvent] = []
@@ -169,10 +169,10 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             if ls is None:
                 tables = exit_cache.get(spec_key)
                 if tables is None:
-                    idle = idle_tables.get(spec_key)
-                    if idle is not None:
-                        tables = _flat_tables(predictors[i].level, history,
-                                              net, idle)
+                    tables = flat_tables.get(spec_key)
+                    if tables is not None:
+                        _flat_rewrite(predictors[i].level, history, net,
+                                      *tables)
                     else:
                         exit_fns, built = _exit_fns(predictors[i], history,
                                                     net)
@@ -245,11 +245,16 @@ def run(scenario: Scenario, *, realized_state: FlowOverTime | None = None,
             sub_phases += 1
             t = b
 
-        log.debug("round %d at t=%g: %d sub-phases, %d pairs re-split, %d "
-                  "edges advanced, %d exit functions built, %d label sets, "
-                  "%d active queries", k, round_start, sub_phases, resplit,
-                  state.edges_advanced - advanced, exit_built,
-                  len(label_cache), len(record.active_queries))
+        if log.isEnabledFor(logging.DEBUG):
+            settled = sum(len(ls.labels._settled)
+                          for ls in label_cache.values()
+                          if type(ls.labels) is _ShiftLabels)
+            log.debug("round %d at t=%g: %d sub-phases, %d pairs re-split, "
+                      "%d edges advanced, %d exit functions built, %d label "
+                      "sets, %d nodes settled, %d active queries", k,
+                      round_start, sub_phases, resplit,
+                      state.edges_advanced - advanced, exit_built,
+                      len(label_cache), settled, len(record.active_queries))
         prev_active.update(record.active_queries)
         if record_rounds:
             rounds.append(record)
@@ -287,36 +292,39 @@ def _exit_fns(predictor, history, net):
     return exit_fns, built
 
 
-def _flat_idle(level, net):
-    """A flat predictor's exit table when every queue is empty, and its
-    shifts: ``_flat_tables`` with no edge reached."""
-    x = _flat_level(level, 0.0)
-    pairs = {e.id: (0.0, 0.0 + e.transit_time + x / e.capacity)
-             for e in net.edges}
-    return pairs, {eid: v0 - t0 for eid, (t0, v0) in pairs.items()}
-
-
-def _flat_tables(level, history, net, idle):
-    """The exit table of a flat predictor at the history's time, and the
-    shifts c_e that its labels read, the ``restricted`` of
-    ``routing.compute_labels``.
+def _flat_table(level, net):
+    """A flat predictor's exit table and the shifts c_e that its labels
+    read, the ``restricted`` of ``routing.compute_labels``, kept for a run.
 
     The forecast of an edge with queue q(now) is ``constant_fn(level(q))``,
     whose one breakpoint lies at 0; so its pair is (0.0, 0.0 + transit time
     + level(q) / capacity) and its shift that value minus 0.0, as
     ``_exit_fns`` and ``routing`` make them, bit for bit.  A level is a
     queue length, so c_e is at least the transit time and the table is
-    shift-only.  The edges with flow state overwrite copies of ``idle``,
-    the tables of ``_flat_idle``; no other edge is visited.
+    shift-only.  An edge without flow state has queue +0.0: its entries
+    are made on first read, and ``_flat_rewrite`` overwrites the edges
+    with flow state; no other edge is visited.
     """
-    pairs, shifts = idle[0].copy(), idle[1].copy()
+    x = _flat_level(level, 0.0)
+    edges = net.edges
+
+    def idle_pair(eid):
+        e = edges[eid]
+        return (0.0, 0.0 + e.transit_time + x / e.capacity)
+
+    return (LazyTable(idle_pair),
+            LazyTable(lambda eid: idle_pair(eid)[1] - 0.0))
+
+
+def _flat_rewrite(level, history, net, pairs, shifts):
+    """Write into a table of ``_flat_table`` the entries of the edges with
+    flow state, from their queues at the history's time."""
     edges = net.edges
     for eid, q in history.queues():
         e = edges[eid]
         v0 = 0.0 + e.transit_time + _flat_level(level, q) / e.capacity
         pairs[eid] = (0.0, v0)
         shifts[eid] = v0 - 0.0
-    return pairs, shifts
 
 
 def _flat_level(level, q):
@@ -383,8 +391,10 @@ def audit_dpe(result: RunResult) -> int:
     Predictors only read queues up to the prediction time, so rebuilding the
     forecast from the final state must reproduce the live decision exactly.
     The replay uses its own predictors, one forecast per edge under every
-    predictor (so it checks ``run``'s flat tables too), and whole-line
-    labels, shared per (spec, sink) and round as in ``run``.  Returns the
+    predictor (so it checks ``run``'s flat tables too), and labels from
+    the round start on, shared per (spec, sink) and round as in ``run``:
+    at tolerance 0 an exact tie is decided by the last bit, so the replay
+    reads the labels ``run`` decided on.  Returns the
     number of verified queries; raises on any mismatch, and on a run made
     with ``record_rounds=False``, which has no decisions to replay.
     """
@@ -400,17 +410,20 @@ def audit_dpe(result: RunResult) -> int:
     checked = 0
     for record in result.rounds:
         history = QueueHistory(result.state, record.time)
-        exit_tables: dict[str, dict] = {}
+        # spec key -> its exit table and what its label sets read of it
+        exit_tables: dict[str, tuple[dict, dict]] = {}
         labels: dict[tuple[str, str], LabelSet] = {}
         for (i, v), live_ids in sorted(record.active_queries.items()):
             spec_key, sink = spec_keys[i], comms[i].sink
             ls = labels.get((spec_key, sink))
             if ls is None:
-                if spec_key not in exit_tables:
-                    exit_tables[spec_key] = _exit_fns(
-                        predictors[i], history, net)[0]
+                tables = exit_tables.get(spec_key)
+                if tables is None:
+                    tables = exit_tables[spec_key] = (
+                        _exit_fns(predictors[i], history, net)[0], {})
                 ls = labels[(spec_key, sink)] = compute_labels(
-                    net, sink, exit_tables[spec_key], scenario.active_tolerance)
+                    net, sink, tables[0], scenario.active_tolerance,
+                    start=record.time, restricted=tables[1])
             replay_ids = tuple(e.id for e in ls.active_edges(v, record.time))
             if replay_ids != live_ids:
                 raise AssertionError(

@@ -1,11 +1,15 @@
 """Bit-for-bit digests of run outputs: the 20 two-route sweep cells, the
-C1 scenarios of seeds 0-9, two Sioux Falls runs and the C10b run.  The
+C1 scenarios of seeds 0-9, two Sioux Falls runs and three runs on the C10b
+network.  The
 Sioux Falls runs are cut from the benchmark's workloads: 12 commodities
 cycling the five predictors to horizon 20 (mixed exit tables, many of whose
 edges are shifts) and 48 zero-predictor commodities to horizon 8 (shift-only
 tables shared between sinks).  C10b is the constant-predictor run of the
 3538-node / 4803-edge network, whose exit tables are flat forecasts of a few
-queued edges among thousands of empty ones.
+queued edges among thousands of empty ones; it is pinned also at active
+tolerance 0, where an exact tie is decided by the last bit, and cut to the
+benchmark's ``metro_constant`` cell (commodity 1 -> 5, inflow 4 until 4,
+horizon 8).
 
 A digest is the SHA-256 of one run's outputs written out with every float
 as ``float.hex``: the per-commodity metrics, the event log in order, every
@@ -18,6 +22,7 @@ the digests of the working tree with
     PYTHONPATH=src python tests/test_output_digests.py
 """
 
+import dataclasses
 import functools
 import hashlib
 import sys
@@ -71,10 +76,14 @@ def cases():
         path = Path(tmp) / "metro.tntp"
         path.write_text(metro_tntp_text())
         metro = import_tntp(path)
-    out["c10b"] = Scenario(   # as in test_acceptance's C10b
+    out["c10b"] = c10b = Scenario(   # as in test_acceptance's C10b
         network=metro, prediction_step=1.0, horizon=60.0,
         commodities=(Commodity(0, 1, 16, block_inflow(4.0, 20.0),
                                {"kind": "constant"}),))
+    out["c10b tolerance 0"] = dataclasses.replace(c10b, active_tolerance=0.0)
+    out["metro constant"] = dataclasses.replace(
+        c10b, horizon=8.0, commodities=(Commodity(
+            0, 1, 5, block_inflow(4.0, 4.0), {"kind": "constant"}),))
     return out
 
 
@@ -151,6 +160,8 @@ DIGESTS = {
     'sioux mixed': '5bebb863c35a38a82f23c13cd2ac5d05f9042133fb2e7ffac555add960520ba2',
     'sioux zero': 'cec099eca88ff7e60d382a598320be9d9e7f3ee9f126e69b45977fc74d4ab021',
     'c10b': '623e91e71f1ec7a2d1f39cc210198cc33a647422b8b3ddc2b6df7a4841d384ac',
+    'c10b tolerance 0': '623e91e71f1ec7a2d1f39cc210198cc33a647422b8b3ddc2b6df7a4841d384ac',
+    'metro constant': '7eeadfc4daf9243496f3fe51a704a5abff5cd4570e29071281a770f9be2af451',
 }
 
 

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpeflow import routing
 from dpeflow.network import Network
@@ -376,6 +378,82 @@ def test_resumable_shift_labels_equal_eager_distances_in_any_order(
             check(labels, op, v)
         assert {v: f.values[0].hex() for v, f in labels.items()} \
             == {v: d.hex() for v, d in dist.items()}
+
+
+# 0.1 + 0.2 exceeds 0.3 by one float step, so routes made of these costs
+# tie exactly, to the last bit, or up to it
+TIE_COSTS = (0.1, 0.2, 0.3, 0.5, 1.0)
+
+
+@st.composite
+def bounded_query_instances(draw):
+    """A random shift-only instance toward sink 0 on nodes 0..n-1, plus
+    node "a", whose out-edges lead to the sink, through "b" to the sink
+    (a tie when the costs add up), to a far head "f" (30 from the sink
+    through "f1" and "f2") and to "u", which only the sink reaches; "z"
+    reaches only "u".  Returns the network, its exit table, the decision
+    time and the queries (node, time) in a random order."""
+    n = draw(st.integers(2, 7))
+    cost = st.sampled_from(TIE_COSTS)
+    rows = [(i, j, draw(cost)) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ij: ij[0] != ij[1]), max_size=3 * n))]
+    rows += [("a", 0, draw(cost)), ("a", "b", draw(cost)),
+             ("b", 0, draw(cost)), ("a", "f", draw(cost)),
+             ("a", "u", draw(cost)), ("f", "f1", 10.0), ("f1", "f2", 10.0),
+             ("f2", 0, 10.0), (0, "u", 1.0), ("z", "u", 1.0)]
+    rows += [(draw(st.integers(0, n - 1)), "f", draw(cost))
+             for _ in range(draw(st.integers(0, 2)))]
+    nodes = list(range(n)) + ["a", "b", "f", "f1", "f2", "u", "z"]
+    net = Network(nodes, [(i, j, 1.0, 1.0) for i, j, _ in rows])
+    now = draw(st.sampled_from((0.0, 0.37, 2.5)))
+    # anchored at 0 or at the decision time, as flat and zero forecasts are
+    exit_fns = {eid: (t0, t0 + c) for eid, (_, _, c) in enumerate(rows)
+                for t0 in [draw(st.sampled_from((0.0, now)))]}
+    queries = draw(st.permutations(
+        [(v, now + dt) for v in nodes for dt in (0.0, 0.37, 12.5)]))
+    return net, exit_fns, now, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_query_instances())
+def test_bounded_shift_queries_equal_fully_settled_ones(instance):
+    # a query settles only the heads that could still be active; its
+    # answer is the one of a search run to the end, evaluated as the label
+    # and exit functions would evaluate it, to the last bit
+    net, exit_fns, now, queries = instance
+    functions = {eid: PiecewiseLinearFn((t0,), (v0,), 1.0, 1.0)
+                 for eid, (t0, v0) in exit_fns.items()}
+    for tol in (0.0, 1e-9):
+        full = compute_labels(net, 0, exit_fns, tol, start=now)
+        list(full.labels)   # runs the search to the end
+
+        def want(v, t):
+            arrivals = [(full.labels[e.head](functions[e.id](t)), e)
+                        for e in net.out_edges[v] if e.head in full.labels]
+            cut = min((a for a, _ in arrivals), default=0.0) + tol
+            return [] if v == 0 else [e for a, e in arrivals if a <= cut]
+
+        ls = compute_labels(net, 0, exit_fns, tol, start=now)
+        assert ls.active_edges("a", now) == want("a", now)
+        # "f" loses to the sink by more than 28 and stays unsettled
+        assert "f" not in ls.labels._settled
+        for v, t in queries:
+            assert ls.active_edges(v, t) == want(v, t)
+        assert "u" not in ls.labels and "z" not in ls.labels
+
+
+def test_a_bounded_query_keeps_a_tie_whose_head_tops_the_heap():
+    # after the sink settles, "b" tops the heap at 0.5 and its route ties
+    # the direct one exactly: 0.5 + 0.5 == 1.0, so the search must go on
+    # while k + x_e equals the cut, not only while it is below it
+    net = Network(["a", "b", "t"], [("a", "t", 1.0, 1.0),
+                                    ("a", "b", 1.0, 1.0),
+                                    ("b", "t", 1.0, 1.0)])
+    exit_fns = {0: shift_entry(1.0), 1: shift_entry(0.5),
+                2: shift_entry(0.5)}
+    ls = compute_labels(net, "t", exit_fns, 0.0)
+    assert [e.id for e in ls.active_edges("a", 0.0)] == [0, 1]
 
 
 def with_extra_edges(rng, net, sink, extra):

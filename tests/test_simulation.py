@@ -248,7 +248,8 @@ def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
 
     monkeypatch.setattr(FlowOverTime, "assign_inflow", spy_assign)
     monkeypatch.setattr(simulation, "compute_labels", spy_labels)
-    state = run(scenario).state
+    result = run(scenario)
+    state = result.state
 
     def made():
         return {eid for eid, es in enumerate(state._edges) if es is not None}
@@ -261,9 +262,26 @@ def test_metro_run_holds_state_only_where_its_flow_went(tmp_path,
         state.outflow_fn(0, e.id)
     state.audit_flow()
     assert made() == assigned
-    # each label set settled only the nodes its lookups reached
-    settled = sum(len(ls.labels._settled) for ls in label_sets)
-    assert 0 < settled < 0.5 * len(label_sets) * len(net.nodes)
+    # one label set per round; a query at v resumes the search only while
+    # the heap's least key k has k + x_e <= the least arrival + tolerance
+    # for some out-edge e, so k < d(v) - c_e + tolerance: every node a
+    # label set settled lies nearer to the sink than the farthest node its
+    # round asked at, and the far heads that lose stay unsettled
+    assert len(label_sets) == len(result.rounds)
+    settled = [ls.labels._settled for ls in label_sets]
+    level = ConstantPredictor().level
+    for near, record in zip(settled, result.rounds):
+        # the run's table has been rewritten by the later rounds since, so
+        # the round's distances come from a table rebuilt at its start
+        pairs, shifts = simulation._flat_table(level, net)
+        simulation._flat_rewrite(level, QueueHistory(state, record.time),
+                                 net, pairs, shifts)
+        labels = routing.compute_labels(
+            net, scenario.commodities[0].sink, pairs, start=record.time,
+            restricted=shifts).labels
+        farthest = max(labels._distance(v) for _, v in record.active_queries)
+        assert max(near.values()) < farthest
+    assert 0 < sum(map(len, settled)) <= 10 * len(label_sets)
 
 
 def test_flat_run_forecasts_no_edge_and_its_audit_every_edge(tmp_path,
@@ -318,6 +336,11 @@ FLAT_PREDICTORS = (ZeroPredictor(), ConstantPredictor(), ThresholdPredictor(),
                    ThresholdPredictor(-1.0, 0.25))
 
 
+def hexed_lookups(table, edge_ids):
+    """The entries of the given edges, looked up one by one, as ``hexed``."""
+    return hexed({eid: table[eid] for eid in edge_ids})
+
+
 # on five edges, per half-unit round (commodity, edge, rate) assignments to
 # edges 0-3 (edge 4 is never reached); a rate holds until re-assigned, so a
 # 0 lets an edge drain and sleep, and a free-flow edge sleeps at its rate
@@ -327,45 +350,56 @@ FLAT_PREDICTORS = (ZeroPredictor(), ConstantPredictor(), ThresholdPredictor(),
                          max_size=3), min_size=1, max_size=6),
        st.one_of(st.just(0.0), st.floats(-1.0, 5.0)),
        st.sampled_from(range(len(FLAT_PREDICTORS))),
-       st.booleans())
+       st.booleans(),
+       st.sets(st.integers(0, 4)))
 # edge 0 queues to 1 by 0.5, drains by 1.5 and then sleeps; edge 1 sleeps
 # at free flow from the start; edges 2-4 are never reached
-@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.0, 4, True)
-@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.75, 1, False)
-@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 2.5, 2, True)
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.0, 4, True, {0, 4})
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 0.75, 1, False, set())
+@example([[(0, 0, 3.0), (1, 1, 0.5)], [(0, 0, 0.0)]], 2.5, 2, True,
+         {0, 1, 2, 3, 4})
 def test_flat_tables_equal_the_per_edge_forecasts(rounds, now, which,
-                                                  negative_zeros):
+                                                  negative_zeros, early):
+    # one table serves every round of a run: at each round start the edges
+    # with flow state are rewritten, the ``early`` edges are looked up (so
+    # their idle entries are made before some of them gain flow state), and
+    # a last look-up at ``now``, after the flow is built, reads every edge
     net = Network(["a", "b", "c", "d"],
                   [("a", "b", 1.0, 1.0), ("b", "c", 0.5, 2.0),
                    ("a", "c", 2.0, 1.0), ("c", "d", 1.5, 1.0),
                    ("b", "d", 1.0, 1.0)])
+    predictor = FLAT_PREDICTORS[which]
+    pairs, shifts = simulation._flat_table(predictor.level, net)
+    assert pairs == shifts == {}
     state = FlowOverTime(net, 2)
+
+    def check(at, edge_ids, negate=False):
+        if negate:   # every empty stretch of a queue reads -0.0
+            for es in state._edges:
+                if es is not None:
+                    es.q_values[:] = [-0.0 if q == 0.0 else q
+                                      for q in es.q_values]
+        history = QueueHistory(state, at)
+        made = [eid for eid, es in enumerate(state._edges) if es is not None]
+        assert [eid for eid, _ in history.queues()] == made
+        queues = dict(history.queues())
+        for e in net.edges:
+            assert queues.get(e.id, 0.0).hex() == history.queue(e.id,
+                                                               at).hex()
+        simulation._flat_rewrite(predictor.level, history, net, pairs,
+                                 shifts)
+        want, built = simulation._exit_fns(predictor, history, net)
+        assert built == 0
+        assert hexed_lookups(pairs, edge_ids) == hexed_lookups(want, edge_ids)
+        assert hexed_lookups(shifts, edge_ids) == hexed_lookups(
+            routing._table_read(want, max(at, 0.0)), edge_ids)
+
     for k, assigned in enumerate(rounds + [[]] * 3):
+        check(0.5 * k, sorted(early))
         for i, e, rate in assigned:
             state.assign_inflow(i, e, rate)
         state.advance(0.5 * (k + 1))
-    if negative_zeros:   # every empty stretch of a queue reads -0.0
-        for es in state._edges:
-            if es is not None:
-                es.q_values[:] = [-0.0 if q == 0.0 else q
-                                  for q in es.q_values]
-    history = QueueHistory(state, now)
-    made = [eid for eid, es in enumerate(state._edges) if es is not None]
-    assert [eid for eid, _ in history.queues()] == made
-    queues = dict(history.queues())
-    for e in net.edges:
-        assert queues.get(e.id, 0.0).hex() == history.queue(e.id, now).hex()
-
-    predictor = FLAT_PREDICTORS[which]
-    idle = simulation._flat_idle(predictor.level, net)
-    pairs, shifts = simulation._flat_tables(predictor.level, history, net,
-                                            idle)
-    want, built = simulation._exit_fns(predictor, history, net)
-    assert built == 0
-    assert hexed(pairs) == hexed(want)
-    assert hexed(shifts) == hexed(routing._table_read(want, max(now, 0.0)))
-    # the idle tables are copied, not changed
-    assert idle == simulation._flat_idle(predictor.level, net)
+    check(now, range(len(net.edges)), negative_zeros)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -382,11 +416,11 @@ def test_a_non_finite_flat_forecast_is_refused(bad):
     level = Bad().level
     with pytest.raises(ValueError):
         Bad().predict(history, 0)   # constant_fn refuses it
-    idle = simulation._flat_idle(level, net)
+    tables = simulation._flat_table(level, net)
     with pytest.raises(ValueError, match="finite"):
-        simulation._flat_tables(level, history, net, idle)
+        simulation._flat_rewrite(level, history, net, *tables)
     with pytest.raises(ValueError, match="finite"):
-        simulation._flat_idle(lambda q_now: bad, net)
+        simulation._flat_table(lambda q_now: bad, net)
 
 
 def test_debug_log_reports_rounds_and_edges_advanced(caplog):
@@ -396,7 +430,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     # answers a query and computes a label set; its zero forecasts are
     # shifts, so it builds no exit function.  The source's split is
     # assigned in round 0 and set to 0 when the inflow ends in round 1;
-    # nothing is re-split after that.
+    # nothing is re-split after that.  The query at s settles the sink
+    # alone: it is the head of s's one out-edge.
     net = Network(["s", "t"], [("s", "t", 1.0, 1.0), ("t", "s", 1.0, 1.0)])
     c = Commodity(0, "s", "t", block_inflow(2.0, 1.0), {"kind": "zero"})
     scenario = Scenario(network=net, commodities=(c,), prediction_step=1.0,
@@ -406,7 +441,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"round {k} at t={k}: 1 sub-phases, {int(k < 2)} pairs re-split, "
         f"{int(k < 3)} edges advanced, 0 exit functions built, "
-        f"{int(k == 0)} label sets, {int(k == 0)} active queries"
+        f"{int(k == 0)} label sets, {int(k == 0)} nodes settled, "
+        f"{int(k == 0)} active queries"
         for k in range(5)]
     # a second predictor spec toward the same sink needs its own label set;
     # at time 0 both edges are empty, so its linear forecasts are shifts too
@@ -415,7 +451,8 @@ def test_debug_log_reports_rounds_and_edges_advanced(caplog):
     with caplog.at_level("DEBUG", logger="dpeflow.simulation"):
         run(dataclasses.replace(scenario, commodities=(c, other)))
     assert caplog.records[0].getMessage().endswith(
-        ", 0 exit functions built, 2 label sets, 2 active queries")
+        ", 0 exit functions built, 2 label sets, 2 nodes settled, "
+        "2 active queries")
     # with inflow until 3 the queue of edge 0 grows in rounds 1 and 2: its
     # constant forecasts stay shifts, its linear forecasts slope and are
     # built; the other edge stays a shift
@@ -580,6 +617,23 @@ def test_constant_predictor_on_sioux_falls_is_instantaneous(sioux_network):
                         prediction_step=1.0, horizon=30.0)
     result = run(scenario)
     assert audit_ide(result) == audit_dpe(result) == 1253
+
+
+def test_replay_at_no_tolerance_decides_ties_as_the_run(sioux_network):
+    # at tolerance 0 an exact tie is decided by the last bit: in round 15,
+    # on the labels cut at the round start that the run decides on, edge
+    # 39 alone is active for commodity 4 at node 14, while on whole-line
+    # labels edges 39 and 40 tie to the last bit; a replay on those would
+    # report (39, 40)
+    comms = random_commodities(
+        sioux_network, 12, seed=12, inflow_factor=0.5, inflow_cutoff=25.0,
+        predictor_kinds=PREDICTOR_CYCLE)
+    scenario = Scenario(network=sioux_network, commodities=comms,
+                        prediction_step=1.0, horizon=40.0,
+                        active_tolerance=0.0)
+    result = run(scenario)
+    assert result.rounds[15].active_queries[(4, 14)] == (39,)
+    assert audit_dpe(result) == 1785
 
 
 def test_audits_refuse_runs_without_recorded_rounds():
